@@ -234,6 +234,18 @@ grep -q '"id":"seqd/ingest_tcp_remine"' "${smoke_json}"
 grep -q '"id":"seqd/ingest_tcp_evolve"' "${smoke_json}"
 grep -q '"id":"seqd/ingest_line_latency"' "${smoke_json}"
 grep -q '"id":"seqd/mine_stall"' "${smoke_json}"
+# Restart cost at a realistic store size (>= 3,500 patterns, checkpointed on
+# disk): open + load_pattern_sets must stay linear in the store. A per-pattern
+# examples scan made this ~4 s; the absolute ceiling is 1 s.
+TESTKIT_BENCH_SAMPLES=1 TESTKIT_BENCH_JSON="${smoke_json}" \
+  cargo bench -q --offline -p bench --bench patterndb_ops >/dev/null
+reload_ns=$(sed -n 's/.*"id":"patterndb\/reopen_and_load".*"median_ns":\([0-9.]*\).*/\1/p' \
+  "${smoke_json}")
+[[ -n "${reload_ns}" ]] \
+  || { echo "patterndb/reopen_and_load record missing from the bench smoke" >&2; exit 1; }
+gate_ceiling "${reload_ns}" 1000000000 \
+  "reopen_and_load %.1f ms (ceiling 1000 ms)" \
+  "REGRESSION: reopening the pattern store took over 1 s" 0.000001
 echo "    bench smoke OK"
 stage_end
 fi

@@ -5,7 +5,7 @@ use crate::error::Error;
 use crate::parser::parse;
 use crate::table::Table;
 use crate::value::SqlValue;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalGroup};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -48,8 +48,9 @@ impl ExecResult {
 ///
 /// Transactions are supported at statement granularity: `BEGIN` snapshots
 /// the table set, `ROLLBACK` restores it, `COMMIT` discards the snapshot and
-/// flushes the buffered WAL entries. There is a single transaction scope (no
-/// nesting), matching what the pattern store needs for atomic batch commits.
+/// appends the buffered WAL entries as one all-or-nothing group. There is a
+/// single transaction scope (no nesting), matching what the pattern store
+/// needs for atomic batch commits.
 #[derive(Debug)]
 pub struct Database {
     tables: HashMap<String, Table>,
@@ -62,7 +63,7 @@ pub struct Database {
 #[derive(Debug)]
 struct TxnState {
     backup: HashMap<String, Table>,
-    wal_buffer: Vec<String>,
+    wal_group: WalGroup,
 }
 
 impl Database {
@@ -85,8 +86,8 @@ impl Database {
     /// statements since.
     pub fn open(path: impl AsRef<Path>) -> Result<Database, Error> {
         let mut db = Database::in_memory();
-        let wal = Wal::open(path.as_ref())?;
-        for stmt in wal.recover()? {
+        let (wal, stmts) = Wal::open(path.as_ref())?;
+        for stmt in stmts {
             // Replay without re-logging.
             db.execute_internal(&stmt, &[], false)?;
         }
@@ -155,7 +156,7 @@ impl Database {
                 }
                 self.txn = Some(TxnState {
                     backup: self.tables.clone(),
-                    wal_buffer: Vec::new(),
+                    wal_group: WalGroup::new(),
                 });
                 return Ok(ExecResult::None);
             }
@@ -165,8 +166,11 @@ impl Database {
                     .take()
                     .ok_or_else(|| Error::Parse("COMMIT without open transaction".into()))?;
                 if let Some(wal) = &mut self.wal {
-                    for rendered in &txn.wal_buffer {
-                        wal.log(rendered, &[])?;
+                    if let Err(e) = wal.log_group(txn.wal_group) {
+                        // Not durable, so not committed: the tables must
+                        // keep mirroring what recovery would rebuild.
+                        self.tables = txn.backup;
+                        return Err(e);
                     }
                 }
                 return Ok(ExecResult::None);
@@ -224,8 +228,7 @@ impl Database {
                 // Inside a transaction, buffer the rendered statement; it
                 // only reaches the WAL at COMMIT (rollbacks leave no trace).
                 Some(txn) if self.wal.is_some() => {
-                    txn.wal_buffer
-                        .push(crate::wal::render_statement(sql, params)?);
+                    txn.wal_group.push(sql, params)?;
                 }
                 _ => {
                     if let Some(wal) = &mut self.wal {
@@ -670,13 +673,18 @@ impl Database {
     }
 
     /// Write a compact snapshot and truncate the WAL. No-op for in-memory
-    /// databases. Refused while a transaction is open (the snapshot would
-    /// capture uncommitted state).
+    /// databases, and for a store that is already compact (a snapshot
+    /// exists, the WAL was empty at open and nothing was logged since).
+    /// Refused while a transaction is open (the snapshot would capture
+    /// uncommitted state).
     pub fn checkpoint(&mut self) -> Result<(), Error> {
         if self.txn.is_some() {
             return Err(Error::Parse(
                 "cannot checkpoint inside a transaction".into(),
             ));
+        }
+        if !self.wal.as_ref().is_some_and(Wal::is_dirty) {
+            return Ok(());
         }
         let stmts = self.dump_statements();
         if let Some(wal) = &mut self.wal {

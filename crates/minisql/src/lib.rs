@@ -138,6 +138,36 @@ mod persistence_tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn checkpoint_of_a_compact_store_writes_nothing() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmpdir("ckpt-clean");
+        let inode = || fs::metadata(dir.join("snapshot.sql")).unwrap().ino();
+        {
+            let mut db = Database::open(&dir).unwrap();
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+                .unwrap();
+            db.checkpoint().unwrap();
+        }
+        let written = inode();
+        {
+            // Reopened with an empty WAL, a read-only session and an empty
+            // transaction leave nothing to compact: no rewrite.
+            let mut db = Database::open(&dir).unwrap();
+            db.query("SELECT id FROM t").unwrap();
+            db.execute("BEGIN").unwrap();
+            db.execute("COMMIT").unwrap();
+            db.checkpoint().unwrap();
+            assert_eq!(inode(), written);
+            // A logged statement makes the next checkpoint write again.
+            db.execute("INSERT INTO t VALUES (1)").unwrap();
+            db.checkpoint().unwrap();
+            assert_ne!(inode(), written);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn checkpoint_refused_inside_transaction() {
         let dir = tmpdir("txn-ckpt");

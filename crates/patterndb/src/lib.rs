@@ -38,6 +38,8 @@ pub mod export;
 pub mod review;
 pub mod sha1;
 pub mod store;
+#[cfg(test)]
+mod store_oracle;
 
 pub use review::{find_conflicts, resolve_conflict, Conflict, ReviewItem, ReviewQueue};
 pub use sha1::{pattern_id, sha1_hex};

@@ -326,7 +326,8 @@ impl PatternStore {
     }
 
     /// All stored patterns (optionally restricted to one service), weakest
-    /// first by count — convenient for review.
+    /// first by count — convenient for review. Examples are read in one
+    /// pass over the `examples` table, not one scan per pattern.
     pub fn patterns(&mut self, service: Option<&str>) -> Result<Vec<StoredPattern>, StoreError> {
         let rows = match service {
             Some(s) => self.db.query_with(
@@ -339,48 +340,50 @@ impl PatternStore {
                  FROM patterns ORDER BY service, cnt DESC, id",
             )?,
         };
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            let id = r[0].as_text().unwrap_or_default().to_string();
-            let examples = self
-                .db
-                .query_with(
-                    "SELECT body FROM examples WHERE pattern_id = ? ORDER BY seq",
-                    &[id.as_str().into()],
-                )?
-                .into_iter()
-                .map(|er| er[0].as_text().unwrap_or_default().to_string())
-                .collect();
-            out.push(StoredPattern {
-                id,
-                service: r[1].as_text().unwrap_or_default().to_string(),
-                pattern_text: r[2].as_text().unwrap_or_default().to_string(),
-                count: r[3].as_integer().unwrap_or(0) as u64,
-                first_seen: r[4].as_integer().unwrap_or(0) as u64,
-                last_matched: r[5].as_integer().unwrap_or(0) as u64,
-                complexity: r[6].as_real().unwrap_or(0.0),
-                examples,
-                promoted: r[7].as_integer().unwrap_or(0) != 0,
-            });
+        let mut examples: HashMap<String, Vec<String>> = HashMap::new();
+        for er in self
+            .db
+            .query("SELECT pattern_id, body FROM examples ORDER BY pattern_id, seq")?
+        {
+            examples.entry(text(&er[0])).or_default().push(text(&er[1]));
         }
-        Ok(out)
+        Ok(rows
+            .into_iter()
+            .map(|r| {
+                let id = text(&r[0]);
+                StoredPattern {
+                    examples: examples.remove(&id).unwrap_or_default(),
+                    id,
+                    service: text(&r[1]),
+                    pattern_text: text(&r[2]),
+                    count: r[3].as_integer().unwrap_or(0) as u64,
+                    first_seen: r[4].as_integer().unwrap_or(0) as u64,
+                    last_matched: r[5].as_integer().unwrap_or(0) as u64,
+                    complexity: r[6].as_real().unwrap_or(0.0),
+                    promoted: r[7].as_integer().unwrap_or(0) != 0,
+                }
+            })
+            .collect())
     }
 
     /// Load every stored pattern into per-service [`PatternSet`]s for the
     /// parser. Patterns that no longer parse (the documented `%`-collision
-    /// limitation) are skipped and reported.
+    /// limitation) are skipped and reported. Reads only the `patterns`
+    /// table; within a service, patterns are inserted by count descending,
+    /// then id — the order that breaks specificity ties.
     pub fn load_pattern_sets(
         &mut self,
     ) -> Result<(HashMap<String, PatternSet>, Vec<StoreError>), StoreError> {
         let mut sets: HashMap<String, PatternSet> = HashMap::new();
         let mut errors = Vec::new();
-        for sp in self.patterns(None)? {
-            match sp.pattern() {
-                Ok(p) => sets
-                    .entry(sp.service.clone())
-                    .or_default()
-                    .insert(sp.id.clone(), p),
-                Err(e) => errors.push(e),
+        for r in self
+            .db
+            .query("SELECT id, service, pattern FROM patterns ORDER BY service, cnt DESC, id")?
+        {
+            let id = text(&r[0]);
+            match Pattern::parse(r[2].as_text().unwrap_or_default()) {
+                Ok(p) => sets.entry(text(&r[1])).or_default().insert(id, p),
+                Err(err) => errors.push(StoreError::BadPattern { id, err }),
             }
         }
         Ok((sets, errors))
@@ -455,6 +458,11 @@ impl PatternStore {
     pub fn db(&mut self) -> &mut Database {
         &mut self.db
     }
+}
+
+/// A text column's value (empty for NULL or a non-text value).
+fn text(v: &SqlValue) -> String {
+    v.as_text().unwrap_or_default().to_string()
 }
 
 /// Convert [`SqlValue`] rows into displayable text (debug/CLI helper).

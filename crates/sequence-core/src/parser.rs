@@ -241,6 +241,12 @@ impl PatternSet {
         })
     }
 
+    /// Iterate over `(id, pattern)` pairs in insertion order — the order
+    /// that breaks specificity ties between equally specific matches.
+    pub fn iter_inserted(&self) -> impl Iterator<Item = (&str, &Pattern)> {
+        self.entries.iter().map(|e| (e.id.as_str(), &e.pattern))
+    }
+
     /// Iterate over `(id, pattern)` pairs, ordered by fixed token count and
     /// then insertion order — a deterministic order, so exports and golden
     /// snapshots are stable across runs.

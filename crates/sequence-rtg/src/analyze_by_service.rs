@@ -13,7 +13,7 @@
 
 use crate::config::RtgConfig;
 use crate::record::LogRecord;
-use crate::service::{commit_service, plan_service, CommitOutcome};
+use crate::service::{commit_service, plan_service, CommitOutcome, ServicePlan};
 use patterndb::{PatternStore, StoreError};
 use sequence_core::{Analyzer, MatchScratch, PatternSet, Scanner};
 use std::collections::HashMap;
@@ -153,12 +153,8 @@ impl SequenceRtg {
         analyze_span.attr_u64("services", by_service.len() as u64);
         let mut services: Vec<&str> = by_service.keys().copied().collect();
         services.sort_unstable();
-        // One transaction per batch: a crash mid-batch must not leave a
-        // half-updated pattern database behind.
-        self.store.begin()?;
-        let mut committed: Vec<(&str, CommitOutcome)> = Vec::new();
+        let mut plans = Vec::with_capacity(services.len());
         for service in services {
-            let records = &by_service[service];
             // Plan (pure compute) then commit (store writes) — the same
             // split the seqd background miner drives under per-piece locks.
             let plan = plan_service(
@@ -167,18 +163,29 @@ impl SequenceRtg {
                 &self.config,
                 self.sets.get(service),
                 &mut self.scratch,
-                records,
+                &by_service[service],
             );
-            report.matched_known += plan.matched_known;
-            report.analyzed += plan.analyzed;
-            report.multiline += plan.multiline;
-            report.empty_messages += plan.empty_messages;
-            match commit_service(&mut self.store, service, &plan, now) {
-                Ok(outcome) => {
-                    report.new_patterns += outcome.new_patterns;
-                    report.updated_patterns += outcome.updated_patterns;
-                    committed.push((service, outcome));
-                }
+            plans.push((service, plan));
+        }
+        self.commit_batch(&plans, now, &mut report)?;
+        Ok(report)
+    }
+
+    /// Persist one batch's per-service plans, given in service order, and
+    /// fold them into `report`. One transaction per batch: a crash mid-batch
+    /// must not leave a half-updated pattern database behind, and a failed
+    /// commit leaves both the store and the in-memory sets unchanged.
+    pub(crate) fn commit_batch(
+        &mut self,
+        plans: &[(&str, ServicePlan)],
+        now: u64,
+        report: &mut BatchReport,
+    ) -> Result<(), StoreError> {
+        self.store.begin()?;
+        let mut committed: Vec<(&str, CommitOutcome)> = Vec::with_capacity(plans.len());
+        for (service, plan) in plans {
+            match commit_service(&mut self.store, service, plan, now) {
+                Ok(outcome) => committed.push((service, outcome)),
                 Err(e) => {
                     self.store.rollback()?;
                     return Err(e);
@@ -186,9 +193,17 @@ impl SequenceRtg {
             }
         }
         self.store.commit()?;
+        for (_, plan) in plans {
+            report.matched_known += plan.matched_known;
+            report.analyzed += plan.analyzed;
+            report.multiline += plan.multiline;
+            report.empty_messages += plan.empty_messages;
+        }
         // Only a durable transaction mutates the in-memory parser sets: a
         // rolled-back batch leaves them exactly mirroring the store.
         for (service, outcome) in committed {
+            report.new_patterns += outcome.new_patterns;
+            report.updated_patterns += outcome.updated_patterns;
             if outcome.inserted.is_empty() {
                 continue;
             }
@@ -207,7 +222,7 @@ impl SequenceRtg {
                 self.sets = sets;
             }
         }
-        Ok(report)
+        Ok(())
     }
 
     /// The seminal `Analyze` behaviour, for the Fig. 5 comparison: no service

@@ -6,33 +6,24 @@
 //! with patterns between different services". This module implements that
 //! scale-out *inside* one process: services are sharded across worker
 //! threads (`std::thread::scope` over the shared, read-only pattern
-//! sets); the compute-heavy scan + parse + analyse runs in parallel and the
-//! single pattern store is updated afterwards by the coordinating thread.
+//! sets); the compute-heavy plan phase (scan + parse + analyse) runs in
+//! parallel and the coordinating thread then commits every plan in one
+//! transaction, exactly as the sequential path does.
 
 use crate::analyze_by_service::{BatchReport, SequenceRtg};
 use crate::record::LogRecord;
-use crate::semiconst;
+use crate::service::{plan_service, ServicePlan};
 use patterndb::StoreError;
-use sequence_core::analyzer::DiscoveredPattern;
-use sequence_core::{MatchScratch, TokenizedMessage};
+use sequence_core::MatchScratch;
 use std::collections::HashMap;
-
-/// What one worker produces for one service.
-struct ServiceOutcome {
-    service: String,
-    /// pattern id → number of parse-step matches.
-    match_counts: HashMap<String, u64>,
-    /// Discoveries from the unmatched messages.
-    discovered: Vec<DiscoveredPattern>,
-    report: BatchReport,
-}
 
 impl SequenceRtg {
     /// Parallel variant of
     /// [`analyze_by_service`](SequenceRtg::analyze_by_service): shards
     /// services across `threads` workers. Results are identical to the
-    /// sequential method (the same per-service partitions are analysed by
-    /// the same code); only wall-clock time differs.
+    /// sequential method (the same per-service partitions are planned by
+    /// the same code and committed in the same order, in one transaction);
+    /// only wall-clock time differs.
     pub fn analyze_by_service_parallel(
         &mut self,
         batch: &[LogRecord],
@@ -69,65 +60,27 @@ impl SequenceRtg {
         let scanner = &self.scanner;
         let analyzer = &self.analyzer;
         let sets = &self.sets;
-        let config = self.config;
+        let config = &self.config;
 
-        let outcomes: Vec<ServiceOutcome> = std::thread::scope(|scope| {
+        let mut plans: Vec<(&str, ServicePlan)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (shard_no, shard) in shards.iter().enumerate() {
                 handles.push(scope.spawn(move || {
                     let mut chunk_span = obs::span!("rtg.parallel_chunk");
                     chunk_span.attr_u64("shard", shard_no as u64);
                     chunk_span.attr_u64("services", shard.len() as u64);
-                    let mut results = Vec::new();
                     // One trie-walk scratch per worker thread, reused across
                     // every message the shard parses.
                     let mut scratch = MatchScratch::default();
-                    for (service, records) in shard {
-                        let mut svc_report = BatchReport::default();
-                        let mut scanned: Vec<TokenizedMessage> = Vec::with_capacity(records.len());
-                        for r in records.iter() {
-                            let t = scanner.scan(&r.message);
-                            if t.truncated_multiline {
-                                svc_report.multiline += 1;
-                            }
-                            if t.tokens.is_empty() {
-                                svc_report.empty_messages += 1;
-                            }
-                            scanned.push(t);
-                        }
-                        // Parse-first against the shared read-only sets.
-                        let set = sets.get(*service);
-                        let mut match_counts: HashMap<String, u64> = HashMap::new();
-                        let mut unmatched: Vec<TokenizedMessage> = Vec::new();
-                        for msg in scanned {
-                            if msg.tokens.is_empty() {
-                                continue;
-                            }
-                            match set.and_then(|s| s.match_message_with(&msg, &mut scratch)) {
-                                Some(outcome) => {
-                                    *match_counts.entry(outcome.pattern_id).or_insert(0) += 1;
-                                    svc_report.matched_known += 1;
-                                }
-                                None => unmatched.push(msg),
-                            }
-                        }
-                        svc_report.analyzed = unmatched.len() as u64;
-                        let mut discovered = analyzer.analyze(&unmatched);
-                        if config.semi_constant_split {
-                            discovered = semiconst::split_semi_constant(
-                                discovered,
-                                &unmatched,
-                                config.semi_constant_max_values,
-                            );
-                        }
-                        results.push(ServiceOutcome {
-                            service: service.to_string(),
-                            match_counts,
-                            discovered,
-                            report: svc_report,
-                        });
-                    }
-                    results
+                    shard
+                        .iter()
+                        .map(|(service, records)| {
+                            let set = sets.get(*service);
+                            let plan =
+                                plan_service(scanner, analyzer, config, set, &mut scratch, records);
+                            (*service, plan)
+                        })
+                        .collect::<Vec<_>>()
                 }));
             }
             handles
@@ -135,38 +88,10 @@ impl SequenceRtg {
                 .flat_map(|h| h.join().expect("worker panicked"))
                 .collect()
         });
-
-        // Serial merge into the store and the in-memory sets.
-        for outcome in outcomes {
-            report.matched_known += outcome.report.matched_known;
-            report.analyzed += outcome.report.analyzed;
-            report.multiline += outcome.report.multiline;
-            report.empty_messages += outcome.report.empty_messages;
-            for (id, n) in outcome.match_counts {
-                self.store.record_matches(&id, n, now)?;
-            }
-            for d in &outcome.discovered {
-                let (id, inserted) = self.store.upsert_discovered(&outcome.service, d, now)?;
-                if inserted {
-                    report.new_patterns += 1;
-                    self.sets
-                        .entry(outcome.service.clone())
-                        .or_default()
-                        .insert(id, d.pattern.clone());
-                } else {
-                    report.updated_patterns += 1;
-                }
-            }
-        }
-        if self.config.save_threshold > 0 {
-            let pruned = self
-                .store
-                .prune_below_threshold(self.config.save_threshold)?;
-            if pruned > 0 {
-                let (sets, _bad) = self.store.load_pattern_sets()?;
-                self.sets = sets;
-            }
-        }
+        // Commit in service order, as the sequential path does, so the
+        // store's write order does not depend on the sharding.
+        plans.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        self.commit_batch(&plans, now, &mut report)?;
         Ok(report)
     }
 }
@@ -230,6 +155,64 @@ mod tests {
         let r = rtg.analyze_by_service_parallel(&batch, 2, 3).unwrap();
         assert_eq!(r.matched_known, r.received);
         assert_eq!(r.new_patterns, 0);
+    }
+
+    /// Every in-memory set as `service -> ids in insertion order`.
+    fn loaded_ids(rtg: &SequenceRtg) -> Vec<(String, Vec<String>)> {
+        let mut v: Vec<(String, Vec<String>)> = rtg
+            .pattern_sets()
+            .iter()
+            .map(|(s, set)| {
+                let ids = set.iter_inserted().map(|(id, _)| id.to_string()).collect();
+                (s.clone(), ids)
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn failed_merge_leaves_store_and_sets_unchanged_and_retry_succeeds() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let batch = multi_service_batch();
+        let mut clean = SequenceRtg::in_memory(RtgConfig::default());
+        clean
+            .analyze_by_service_parallel(&batch[..50], 1, 3)
+            .unwrap();
+        let expected = clean.analyze_by_service_parallel(&batch, 2, 3).unwrap();
+        assert!(expected.matched_known > 0 && expected.new_patterns > 0);
+
+        // A failing upsert lands mid-merge, after match statistics were
+        // written; a failing commit lands after every write.
+        for op in ["upsert", "commit"] {
+            let mut rtg = SequenceRtg::in_memory(RtgConfig::default());
+            rtg.analyze_by_service_parallel(&batch[..50], 1, 3).unwrap();
+            let stored = rtg.store_mut().patterns(None).unwrap();
+            let loaded = loaded_ids(&rtg);
+            let failing = Arc::new(AtomicBool::new(true));
+            let flag = Arc::clone(&failing);
+            rtg.store_mut()
+                .set_fault_hook(Some(Arc::new(move |o: &str| {
+                    o == op && flag.load(Ordering::Relaxed)
+                })));
+            match rtg.analyze_by_service_parallel(&batch, 2, 3) {
+                Err(StoreError::Injected(o)) => assert_eq!(o, op),
+                other => panic!("{op}: expected an injected failure, got {other:?}"),
+            }
+            assert_eq!(rtg.store_mut().patterns(None).unwrap(), stored, "{op}");
+            assert_eq!(loaded_ids(&rtg), loaded, "{op}");
+
+            failing.store(false, Ordering::Relaxed);
+            let report = rtg.analyze_by_service_parallel(&batch, 2, 3).unwrap();
+            assert_eq!(report, expected, "{op}");
+            assert_eq!(
+                rtg.store_mut().patterns(None).unwrap(),
+                clean.store_mut().patterns(None).unwrap(),
+                "{op}"
+            );
+            assert_eq!(loaded_ids(&rtg), loaded_ids(&clean), "{op}");
+        }
     }
 
     #[test]

@@ -91,21 +91,21 @@ pub fn plan_service(
             .collect()
     };
     // Parse step: match against the known set; the rest is analyser input.
-    let mut unmatched = Vec::new();
+    let mut unmatched: Vec<TokenizedMessage> = Vec::new();
     {
         let mut parse_span = obs::span!("rtg.parse");
         parse_span.attr_u64("messages", scanned.len() as u64);
         let mut match_counts: HashMap<String, u64> = HashMap::new();
-        for (i, msg) in scanned.iter().enumerate() {
+        for msg in scanned {
             if msg.tokens.is_empty() {
                 continue;
             }
-            match set.and_then(|s| s.match_message_with(msg, scratch)) {
+            match set.and_then(|s| s.match_message_with(&msg, scratch)) {
                 Some(outcome) => {
                     *match_counts.entry(outcome.pattern_id).or_insert(0) += 1;
                     plan.matched_known += 1;
                 }
-                None => unmatched.push(i as u32),
+                None => unmatched.push(msg),
             }
         }
         plan.match_counts = match_counts.into_iter().collect();
@@ -115,14 +115,10 @@ pub fn plan_service(
         return plan;
     }
     plan.analyzed = unmatched.len() as u64;
-    let subset: Vec<TokenizedMessage> = unmatched
-        .iter()
-        .map(|&i| scanned[i as usize].clone())
-        .collect();
-    let mut discovered = analyzer.analyze(&subset);
+    let mut discovered = analyzer.analyze(&unmatched);
     if config.semi_constant_split {
         discovered =
-            semiconst::split_semi_constant(discovered, &subset, config.semi_constant_max_values);
+            semiconst::split_semi_constant(discovered, &unmatched, config.semi_constant_max_values);
     }
     plan.discovered = discovered;
     plan
