@@ -397,6 +397,27 @@ echo "    seqd smoke OK"
 stage_end
 fi
 
+if stage_begin "flood smoke (one connection, 50x the shard queue, rejected 0)"; then
+# One connection sends 50,000 lines back to back into 1,000-slot shard
+# queues. A busy daemon may slow the sender, but a well-behaved client is
+# never refused: the receipt must show every line accepted. (A lost wakeup
+# in the shard queue once made each full queue sleep out the whole enqueue
+# timeout and reject the rest of the burst.)
+./target/release/seqd --addr 127.0.0.1:0 --queue-capacity 1000 \
+  --store "${seqd_store}/flood" 2> "${seqd_log}.flood" &
+seqd_pid=$!
+port=$(wait_seqd_port "${seqd_log}.flood")
+./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 50000 --shutdown \
+  > "${seqd_log}.flood.loadgen"
+wait "${seqd_pid}"
+seqd_pid=""
+head -n 1 "${seqd_log}.flood.loadgen" | sed 's/^/    receipt /'
+grep -q '"received":50000,"accepted":50000,"rejected":0,' "${seqd_log}.flood.loadgen" \
+  || { echo "flood: the daemon refused part of one connection's burst" >&2; exit 1; }
+echo "    flood smoke OK"
+stage_end
+fi
+
 if stage_begin "metrics contract (scrape /metrics -> promlint -> golden name set)"; then
 # A live daemon's exposition must lint clean (every series carries # HELP
 # and # TYPE, histograms cumulative and +Inf-terminated) and export exactly
@@ -421,46 +442,69 @@ stage_end
 fi
 
 if stage_begin "evolve-vs-batch equivalence smoke (online evolution matches known traffic)"; then
-# Each mode learns the same fixed-seed corpus (wave 1), waits for its mining
-# to land and publish, then replays the corpus (wave 2) and drains. Online
-# evolution need not produce byte-identical patterns to the batch analyser,
-# but it must group the same traffic: its wave-2 matched count is held to
-# >= 95% of the batch path's.
+# Each mode learns the same fixed-seed corpus (wave 1), waits until every
+# wave-1 record is processed, mined and published for all four services,
+# then replays the corpus (wave 2). Online evolution need not produce
+# byte-identical patterns to the batch analyser, but it must group the same
+# traffic: its wave-2 matched count — the /stats `matched` delta across
+# wave 2 alone — is held to >= 95% of the batch path's.
+stats_field() {
+  sed -n 's/.*"'"$1"'":\([0-9]*\).*/\1/p' <<<"$2"
+}
+# Poll /stats until matched + unmatched reaches $2 with no residue and no
+# mining backlog; prints the last /stats body.
+wait_processed() {
+  local port=$1 want=$2 stats matched unmatched residue backlog
+  for _ in $(seq 1 300); do
+    stats=$(seqd_http_body "${port}" /stats)
+    matched=$(stats_field matched "${stats}")
+    unmatched=$(stats_field unmatched "${stats}")
+    residue=$(stats_field residue "${stats}")
+    backlog=$(stats_field mine_backlog "${stats}")
+    if [[ $(( ${matched:-0} + ${unmatched:-0} )) -ge "${want}" \
+          && "${residue:-1}" -eq 0 && "${backlog:-1}" -eq 0 ]]; then
+      break
+    fi
+    sleep 0.1
+  done
+  echo "${stats}"
+}
 evolve_matched() {
-  local mode=$1 dir=$2 log=$3 port stats runs backlog
+  local mode=$1 dir=$2 log=$3 port stats before after
   ./target/release/seqd --addr 127.0.0.1:0 --shards 2 --batch-size 500 \
     --evolve "${mode}" --store "${dir}" 2> "${log}" &
   seqd_pid=$!
   port=$(wait_seqd_port "${log}")
   ./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 2000 --seed 9 \
     > /dev/null
-  for _ in $(seq 1 300); do
-    stats=$(seqd_http_body "${port}" /stats)
-    runs=$(sed -n 's/.*"remine_runs":\([0-9]*\).*/\1/p' <<<"${stats}")
-    backlog=$(sed -n 's/.*"mine_backlog":\([0-9]*\).*/\1/p' <<<"${stats}")
-    [[ "${runs:-0}" -ge 1 && "${backlog:-1}" -eq 0 ]] && break
-    sleep 0.1
-  done
-  [[ "${runs:-0}" -ge 1 ]] || { echo "${mode}: wave 1 never mined" >&2; return 1; }
+  stats=$(wait_processed "${port}" 2000)
+  [[ "$(stats_field remine_runs "${stats}")" -ge 1 ]] \
+    || { echo "${mode}: wave 1 never mined" >&2; return 1; }
+  [[ "$(stats_field published_services "${stats}")" -ge 4 ]] \
+    || { echo "${mode}: wave 1 left a service unpublished: ${stats}" >&2; return 1; }
   # Online mode must actually be evolving, not quietly falling back to
   # batch re-mining (and vice versa).
   local evolved
-  evolved=$(sed -n 's/.*"evolve_runs":\([0-9]*\).*/\1/p' <<<"${stats}")
+  evolved=$(stats_field evolve_runs "${stats}")
   if [[ "${mode}" == online ]]; then
     [[ "${evolved:-0}" -ge 1 ]] || { echo "online mode never ran the evolver" >&2; return 1; }
   else
     [[ "${evolved:-0}" -eq 0 ]] || { echo "batch mode ran the evolver" >&2; return 1; }
   fi
+  before=$(stats_field matched "${stats}")
   ./target/release/seqd-loadgen --addr "127.0.0.1:${port}" --records 2000 --seed 9 \
-    --shutdown > /dev/null
+    > /dev/null
+  stats=$(wait_processed "${port}" 4000)
+  after=$(stats_field matched "${stats}")
+  seqd_http "${port}" POST /shutdown
   wait "${seqd_pid}"
   seqd_pid=""
-  sed -n 's/.*drained — ingested 4000 matched \([0-9]*\) .*/\1/p' "${log}"
+  echo $(( after - before ))
 }
 batch_matched=$(evolve_matched batch "${seqd_store}/ev-batch" "${seqd_log}.ev-batch")
 online_matched=$(evolve_matched online "${seqd_store}/ev-online" "${seqd_log}.ev-online")
 [[ -n "${batch_matched}" && -n "${online_matched}" ]] \
-  || { echo "drained matched counts missing (batch='${batch_matched}' online='${online_matched}')" >&2; exit 1; }
+  || { echo "wave-2 matched counts missing (batch='${batch_matched}' online='${online_matched}')" >&2; exit 1; }
 echo "    wave-2 matched: batch ${batch_matched}, online ${online_matched}"
 [[ "${batch_matched}" -ge 1000 ]] \
   || { echo "batch reference matched too little of its own corpus" >&2; exit 1; }

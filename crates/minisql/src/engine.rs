@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::error::Error;
 use crate::parser::parse;
-use crate::table::Table;
+use crate::table::{Inserted, Table};
 use crate::value::SqlValue;
 use crate::wal::{Wal, WalGroup};
 use std::collections::HashMap;
@@ -46,24 +46,65 @@ impl ExecResult {
 /// An embedded SQL database: a set of tables, optionally persisted through a
 /// snapshot + write-ahead log (see [`crate::wal`]).
 ///
-/// Transactions are supported at statement granularity: `BEGIN` snapshots
-/// the table set, `ROLLBACK` restores it, `COMMIT` discards the snapshot and
-/// appends the buffered WAL entries as one all-or-nothing group. There is a
-/// single transaction scope (no nesting), matching what the pattern store
-/// needs for atomic batch commits.
+/// Statements are atomic: each records its changes to rows and tables in an
+/// undo log, and one that fails part-way is undone before it returns.
+/// Transactions keep that log from `BEGIN` on: `ROLLBACK` applies it
+/// backwards, and `COMMIT` drops it and appends the buffered WAL entries as
+/// one all-or-nothing group. A transaction costs
+/// memory and time in proportion to the rows it touches, not to the size of
+/// the database. There is a single transaction scope (no nesting), matching
+/// what the pattern store needs for atomic batch commits.
 #[derive(Debug)]
 pub struct Database {
     tables: HashMap<String, Table>,
     wal: Option<Wal>,
-    /// Copy-on-begin snapshot + buffered WAL statements while a transaction
-    /// is open.
+    /// Undo log + buffered WAL statements while a transaction is open.
     txn: Option<TxnState>,
 }
 
 #[derive(Debug)]
 struct TxnState {
-    backup: HashMap<String, Table>,
+    /// Changes made since `BEGIN`, oldest first.
+    undo: Vec<Undo>,
     wal_group: WalGroup,
+}
+
+/// One recorded change, with what it takes to reverse it. Applied newest
+/// first, each entry finds the table exactly as the change left it.
+#[derive(Debug)]
+enum Undo {
+    /// `CREATE TABLE`: drop it again.
+    Created(String),
+    /// `DROP TABLE`: the whole table, to put back.
+    Dropped(Table),
+    /// The last `n` rows of the table were appended.
+    Appended { table: String, n: usize },
+    /// Row `row` was overwritten (`UPDATE`, `INSERT OR REPLACE`).
+    Overwrote {
+        table: String,
+        row: usize,
+        old: Vec<SqlValue>,
+    },
+    /// Rows removed by `DELETE`, with their former indices, ascending.
+    Deleted {
+        table: String,
+        rows: Vec<(usize, Vec<SqlValue>)>,
+    },
+}
+
+/// Record that one row was appended to `table`, folding runs of appends to
+/// the same table into one entry.
+fn log_append(undo: &mut Vec<Undo>, table: &str) {
+    if let Some(Undo::Appended { table: t, n }) = undo.last_mut() {
+        if t == table {
+            *n += 1;
+            return;
+        }
+    }
+    undo.push(Undo::Appended {
+        table: table.to_string(),
+        n: 1,
+    });
 }
 
 impl Database {
@@ -139,7 +180,7 @@ impl Database {
         log: bool,
     ) -> Result<ExecResult, Error> {
         let stmt = parse(sql)?;
-        let result = match &stmt {
+        match &stmt {
             Statement::Explain(inner) => {
                 return Ok(ExecResult::Rows {
                     columns: vec!["plan".to_string()],
@@ -155,7 +196,7 @@ impl Database {
                     return Err(Error::Parse("transaction already open".into()));
                 }
                 self.txn = Some(TxnState {
-                    backup: self.tables.clone(),
+                    undo: Vec::new(),
                     wal_group: WalGroup::new(),
                 });
                 return Ok(ExecResult::None);
@@ -169,7 +210,7 @@ impl Database {
                     if let Err(e) = wal.log_group(txn.wal_group) {
                         // Not durable, so not committed: the tables must
                         // keep mirroring what recovery would rebuild.
-                        self.tables = txn.backup;
+                        self.undo(txn.undo);
                         return Err(e);
                     }
                 }
@@ -180,37 +221,142 @@ impl Database {
                     .txn
                     .take()
                     .ok_or_else(|| Error::Parse("ROLLBACK without open transaction".into()))?;
-                self.tables = txn.backup;
+                self.undo(txn.undo);
                 return Ok(ExecResult::None);
             }
             Statement::CreateTable {
                 name,
-                if_not_exists,
-                columns,
-            } => {
+                if_not_exists: true,
+                ..
+            } if self.tables.contains_key(name) => {
+                // Nothing to create, so nothing to log: every store open
+                // runs these, and they must not dirty the WAL.
+                return Ok(ExecResult::None);
+            }
+            _ => {}
+        }
+        // Every statement records its changes — into the open transaction's
+        // log, or a throwaway one — so a statement that fails part-way (a
+        // multi-row insert stopped at row three, an update that breaks a
+        // unique key) is undone on the spot and changes nothing.
+        let mut undo = match self.txn.as_mut() {
+            Some(txn) => std::mem::take(&mut txn.undo),
+            None => Vec::new(),
+        };
+        let mark = undo.len();
+        let done = self.apply(&stmt, params, &mut undo).and_then(|result| {
+            if log && !matches!(stmt, Statement::Select(_)) {
+                self.log_statement(sql, params)?;
+            }
+            Ok(result)
+        });
+        if done.is_err() {
+            // Failed, or not logged and so not durable: either way the
+            // tables must keep mirroring what recovery would rebuild.
+            let partial = undo.split_off(mark);
+            self.undo(partial);
+        }
+        if let Some(txn) = self.txn.as_mut() {
+            txn.undo = undo;
+        }
+        done
+    }
+
+    /// Log an applied mutation: inside a transaction, buffer the rendered
+    /// statement (it only reaches the WAL at COMMIT, so rollbacks leave no
+    /// trace); otherwise append it to the WAL now.
+    fn log_statement(&mut self, sql: &str, params: &[SqlValue]) -> Result<(), Error> {
+        match (&mut self.txn, &mut self.wal) {
+            (Some(txn), Some(_)) => txn.wal_group.push(sql, params),
+            (None, Some(wal)) => wal.log(sql, params),
+            (_, None) => Ok(()),
+        }
+    }
+
+    /// Reverse recorded changes (a transaction's, or a failed statement's),
+    /// newest first, then rebuild the unique indexes of every table whose
+    /// rows moved.
+    fn undo(&mut self, undo: Vec<Undo>) {
+        let mut touched: Vec<String> = Vec::new();
+        for entry in undo.into_iter().rev() {
+            let name = match entry {
+                Undo::Created(name) => {
+                    self.tables.remove(&name);
+                    continue;
+                }
+                Undo::Dropped(table) => {
+                    self.tables.insert(table.name.clone(), table);
+                    continue;
+                }
+                Undo::Appended { table, n } => {
+                    let t = self.tables.get_mut(&table).expect("undo: appended table");
+                    t.rows.truncate(t.rows.len() - n);
+                    table
+                }
+                Undo::Overwrote { table, row, old } => {
+                    self.tables
+                        .get_mut(&table)
+                        .expect("undo: updated table")
+                        .rows[row] = old;
+                    table
+                }
+                Undo::Deleted { table, rows } => {
+                    self.tables
+                        .get_mut(&table)
+                        .expect("undo: deleted table")
+                        .restore_rows(rows);
+                    table
+                }
+            };
+            if !touched.contains(&name) {
+                touched.push(name);
+            }
+        }
+        for name in touched {
+            // A table created inside the transaction is gone again.
+            if let Some(t) = self.tables.get_mut(&name) {
+                t.rebuild_indexes()
+                    .expect("rows from before a statement have consistent indexes");
+            }
+        }
+    }
+
+    /// Execute one data or schema statement, recording its changes in
+    /// `undo`.
+    fn apply(
+        &mut self,
+        stmt: &Statement,
+        params: &[SqlValue],
+        undo: &mut Vec<Undo>,
+    ) -> Result<ExecResult, Error> {
+        Ok(match stmt {
+            Statement::Explain(_) | Statement::Begin | Statement::Commit | Statement::Rollback => {
+                unreachable!("handled by execute_internal")
+            }
+            Statement::CreateTable { name, columns, .. } => {
                 if self.tables.contains_key(name) {
-                    if *if_not_exists {
-                        return Ok(ExecResult::None);
-                    }
                     return Err(Error::TableExists(name.clone()));
                 }
                 self.tables
                     .insert(name.clone(), Table::new(name.clone(), columns.clone()));
+                undo.push(Undo::Created(name.clone()));
                 ExecResult::None
             }
-            Statement::DropTable { name, if_exists } => {
-                if self.tables.remove(name).is_none() && !*if_exists {
-                    return Err(Error::NoSuchTable(name.clone()));
+            Statement::DropTable { name, if_exists } => match self.tables.remove(name) {
+                Some(table) => {
+                    undo.push(Undo::Dropped(table));
+                    ExecResult::None
                 }
-                ExecResult::None
-            }
+                None if *if_exists => ExecResult::None,
+                None => return Err(Error::NoSuchTable(name.clone())),
+            },
             Statement::Insert {
                 table,
                 columns,
                 rows,
                 or_replace,
             } => {
-                let n = self.run_insert(table, columns, rows, *or_replace, params)?;
+                let n = self.run_insert(table, columns, rows, *or_replace, params, undo)?;
                 ExecResult::Affected(n)
             }
             Statement::Select(sel) => self.run_select(sel, params)?,
@@ -218,26 +364,13 @@ impl Database {
                 table,
                 sets,
                 filter,
-            } => ExecResult::Affected(self.run_update(table, sets, filter.as_ref(), params)?),
+            } => {
+                ExecResult::Affected(self.run_update(table, sets, filter.as_ref(), params, undo)?)
+            }
             Statement::Delete { table, filter } => {
-                ExecResult::Affected(self.run_delete(table, filter.as_ref(), params)?)
+                ExecResult::Affected(self.run_delete(table, filter.as_ref(), params, undo)?)
             }
-        };
-        if log && !matches!(stmt, Statement::Select(_)) {
-            match &mut self.txn {
-                // Inside a transaction, buffer the rendered statement; it
-                // only reaches the WAL at COMMIT (rollbacks leave no trace).
-                Some(txn) if self.wal.is_some() => {
-                    txn.wal_group.push(sql, params)?;
-                }
-                _ => {
-                    if let Some(wal) = &mut self.wal {
-                        wal.log(sql, params)?;
-                    }
-                }
-            }
-        }
-        Ok(result)
+        })
     }
 
     /// Describe the access plan of a statement (the `EXPLAIN` output).
@@ -308,9 +441,10 @@ impl Database {
         rows: &[Vec<Expr>],
         or_replace: bool,
         params: &[SqlValue],
+        undo: &mut Vec<Undo>,
     ) -> Result<usize, Error> {
-        // Evaluate all rows before mutating (statement atomicity for the
-        // common single-row case; multi-row inserts fail fast).
+        // Evaluate all rows before mutating; a row that fails a constraint
+        // part-way is undone by the caller from the undo log.
         let t = self.table(table)?;
         let col_indices: Vec<usize> = if columns.is_empty() {
             (0..t.columns.len()).collect()
@@ -342,7 +476,14 @@ impl Database {
         let t = self.table_mut(table)?;
         let mut n = 0;
         for row in evaluated {
-            t.insert(row, or_replace)?;
+            match t.insert(row, or_replace)? {
+                Inserted::Appended => log_append(undo, table),
+                Inserted::Replaced { row, old } => undo.push(Undo::Overwrote {
+                    table: table.to_string(),
+                    row,
+                    old,
+                }),
+            }
             n += 1;
         }
         Ok(n)
@@ -600,6 +741,7 @@ impl Database {
         sets: &[(String, Expr)],
         filter: Option<&Expr>,
         params: &[SqlValue],
+        undo: &mut Vec<Undo>,
     ) -> Result<usize, Error> {
         let t = self.table(table)?;
         let set_indices: Vec<usize> = sets
@@ -635,6 +777,11 @@ impl Database {
             .any(|&ci| t.columns[ci].unique || t.columns[ci].primary_key);
         let t = self.table_mut(table)?;
         for (row_idx, vals) in updates {
+            undo.push(Undo::Overwrote {
+                table: table.to_string(),
+                row: row_idx,
+                old: t.rows[row_idx].clone(),
+            });
             for (ci, v) in set_indices.iter().zip(vals) {
                 t.set(row_idx, *ci, v);
             }
@@ -650,6 +797,7 @@ impl Database {
         table: &str,
         filter: Option<&Expr>,
         params: &[SqlValue],
+        undo: &mut Vec<Undo>,
     ) -> Result<usize, Error> {
         let t = self.table(table)?;
         let mut to_delete = Vec::new();
@@ -668,7 +816,13 @@ impl Database {
             }
         }
         let n = to_delete.len();
-        self.table_mut(table)?.delete_rows(&to_delete);
+        let removed = self.table_mut(table)?.delete_rows(&to_delete);
+        if !removed.is_empty() {
+            undo.push(Undo::Deleted {
+                table: table.to_string(),
+                rows: removed,
+            });
+        }
         Ok(n)
     }
 
@@ -1505,5 +1659,161 @@ mod tests {
             .query("SELECT id, cnt * 2 AS double_cnt FROM p ORDER BY double_cnt DESC LIMIT 1")
             .unwrap();
         assert_eq!(rows[0][0], SqlValue::Text("p1".into()));
+    }
+
+    /// Undo-log property: any statement sequence, failed statements
+    /// included, followed by `ROLLBACK` — or by a `COMMIT` whose group write
+    /// fails — leaves the database exactly as it was before `BEGIN`: the
+    /// same dump, and unique indexes that answer point lookups and reject
+    /// duplicates exactly as a database rebuilt from that dump does.
+    mod undo_log {
+        use super::*;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use testkit::prop::{self, Config};
+        use testkit::rng::Rng;
+        use testkit::{prop_assert, prop_assert_eq};
+
+        const KEYS: u64 = 12;
+
+        fn schema(db: &mut Database) {
+            db.execute("CREATE TABLE p (id TEXT PRIMARY KEY, service TEXT NOT NULL, cnt INTEGER)")
+                .unwrap();
+            db.execute("CREATE TABLE e (pid TEXT, seq INTEGER, body TEXT UNIQUE)")
+                .unwrap();
+        }
+
+        fn key(rng: &mut Rng) -> String {
+            format!("k{}", rng.bounded(KEYS))
+        }
+
+        /// One random mutation; many of them fail (duplicate keys, NULLs,
+        /// unknown tables), some part-way through.
+        fn statement(rng: &mut Rng) -> String {
+            match rng.bounded(11) {
+                0 | 1 => format!(
+                    "INSERT INTO p (id, service, cnt) VALUES ('{}', 's', {})",
+                    key(rng),
+                    rng.bounded(5)
+                ),
+                2 => format!(
+                    "INSERT INTO p (id, service, cnt) VALUES ('{}', 's', 1), ('{}', 's', 2), ('{}', {}, 3)",
+                    key(rng),
+                    key(rng),
+                    key(rng),
+                    if rng.gen_bool(0.3) { "NULL" } else { "'t'" }
+                ),
+                3 => format!(
+                    "INSERT OR REPLACE INTO p (id, service, cnt) VALUES ('{}', 'r', {})",
+                    key(rng),
+                    rng.bounded(9)
+                ),
+                4 => format!("UPDATE p SET cnt = cnt + 1 WHERE id = '{}'", key(rng)),
+                5 => format!("UPDATE p SET id = '{}' WHERE cnt = {}", key(rng), rng.bounded(5)),
+                6 => format!("DELETE FROM p WHERE cnt > {}", rng.bounded(6)),
+                7 => format!("DELETE FROM e WHERE pid = '{}'", key(rng)),
+                8 => format!(
+                    "INSERT INTO e (pid, seq, body) VALUES ('{}', {}, 'b{}')",
+                    key(rng),
+                    rng.bounded(3),
+                    rng.bounded(KEYS)
+                ),
+                9 => "DROP TABLE e".to_string(),
+                _ => "CREATE TABLE IF NOT EXISTS e (pid TEXT, seq INTEGER, body TEXT UNIQUE)"
+                    .to_string(),
+            }
+        }
+
+        /// Same dump, same point lookups, same duplicate rejections as a
+        /// database rebuilt from `before`.
+        fn assert_restored(
+            db: &mut Database,
+            before: &str,
+            stmts: &[String],
+        ) -> Result<(), String> {
+            prop_assert_eq!(db.dump(), before.to_string());
+            let mut rebuilt = Database::in_memory();
+            for stmt in stmts {
+                rebuilt.execute(stmt).unwrap();
+            }
+            for k in 0..KEYS {
+                let id = [SqlValue::Text(format!("k{k}"))];
+                let probe = "SELECT id, service, cnt FROM p WHERE id = ?";
+                prop_assert_eq!(
+                    db.query_with(probe, &id).unwrap(),
+                    rebuilt.query_with(probe, &id).unwrap()
+                );
+                let insert = "INSERT INTO p (id, service) VALUES (?, 'x')";
+                prop_assert_eq!(
+                    db.execute_with(insert, &id).is_ok(),
+                    rebuilt.execute_with(insert, &id).is_ok()
+                );
+                let body = [SqlValue::Text(format!("b{k}"))];
+                let insert = "INSERT INTO e (pid, seq, body) VALUES ('x', 0, ?)";
+                prop_assert_eq!(
+                    db.execute_with(insert, &body).is_ok(),
+                    rebuilt.execute_with(insert, &body).is_ok()
+                );
+            }
+            Ok(())
+        }
+
+        /// A pre-`BEGIN` state (its dump and its statements), then `BEGIN`
+        /// and a random statement run.
+        fn prepare(db: &mut Database, rng: &mut Rng) -> (String, Vec<String>) {
+            schema(db);
+            for _ in 0..rng.gen_range(0..12usize) {
+                let _ = db.execute(&statement(rng));
+            }
+            let _ = db
+                .execute("CREATE TABLE IF NOT EXISTS e (pid TEXT, seq INTEGER, body TEXT UNIQUE)");
+            let before = (db.dump(), db.dump_statements());
+            db.execute("BEGIN").unwrap();
+            for _ in 0..rng.gen_range(1..25usize) {
+                let _ = db.execute(&statement(rng));
+            }
+            before
+        }
+
+        #[test]
+        fn rollback_restores_the_pre_begin_state() {
+            prop::check(&Config::cases(400), &prop::range(0u64..u64::MAX), |&seed| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut db = Database::in_memory();
+                let (before, stmts) = prepare(&mut db, &mut rng);
+                db.execute("ROLLBACK").unwrap();
+                prop_assert!(!db.in_transaction());
+                assert_restored(&mut db, &before, &stmts)
+            });
+        }
+
+        #[test]
+        fn failed_commit_write_restores_the_pre_begin_state() {
+            static N: AtomicU64 = AtomicU64::new(0);
+            prop::check(&Config::cases(60), &prop::range(0u64..u64::MAX), |&seed| {
+                let dir = std::env::temp_dir().join(format!(
+                    "minisql-undo-{}-{}",
+                    std::process::id(),
+                    N.fetch_add(1, Ordering::Relaxed)
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut db = Database::open(&dir).unwrap();
+                let (before, stmts) = prepare(&mut db, &mut rng);
+                db.wal.as_mut().unwrap().fail_appends().unwrap();
+                let wrote_something = db.txn.as_ref().unwrap().wal_group.statements > 0;
+                prop_assert_eq!(db.execute("COMMIT").is_err(), wrote_something);
+                prop_assert!(!db.in_transaction());
+                if wrote_something {
+                    prop_assert_eq!(db.dump(), before.clone());
+                    // Nothing of the group reached the disk either.
+                    prop_assert_eq!(Database::open(&dir).unwrap().dump(), before.clone());
+                    // With the disk writable again, the indexes behave.
+                    db.wal = Some(Wal::open(&dir).unwrap().0);
+                    assert_restored(&mut db, &before, &stmts)?;
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                Ok(())
+            });
+        }
     }
 }

@@ -19,6 +19,21 @@ pub struct Table {
     unique: Vec<(usize, HashMap<String, usize>)>,
 }
 
+/// What a successful [`Table::insert`] did to the row store, so a
+/// transaction can undo it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Inserted {
+    /// The row was appended as the table's last row.
+    Appended,
+    /// An `OR REPLACE` overwrote row `row`; `old` holds its previous values.
+    Replaced {
+        /// Index of the overwritten row.
+        row: usize,
+        /// The row's values before the insert.
+        old: Vec<SqlValue>,
+    },
+}
+
 /// Encode a value as a hashable index key (`f64` is not `Hash`).
 fn index_key(v: &SqlValue) -> String {
     match v {
@@ -97,8 +112,8 @@ impl Table {
     }
 
     /// Insert a row; `or_replace` resolves unique conflicts by replacing the
-    /// existing row in place.
-    pub fn insert(&mut self, mut row: Vec<SqlValue>, or_replace: bool) -> Result<(), Error> {
+    /// existing row in place. A failed insert changes nothing.
+    pub fn insert(&mut self, mut row: Vec<SqlValue>, or_replace: bool) -> Result<Inserted, Error> {
         if row.len() != self.columns.len() {
             return Err(Error::ArityMismatch {
                 expected: self.columns.len(),
@@ -118,7 +133,7 @@ impl Table {
                     }
                 }
                 self.rows.push(row);
-                Ok(())
+                Ok(Inserted::Appended)
             }
             Some(existing) if or_replace => {
                 // Remove old index entries for the replaced row, then insert
@@ -151,8 +166,8 @@ impl Table {
                         index.insert(index_key(&row[*col_idx]), existing);
                     }
                 }
-                self.rows[existing] = row;
-                Ok(())
+                let old = std::mem::replace(&mut self.rows[existing], row);
+                Ok(Inserted::Replaced { row: existing, old })
             }
             Some(existing) => {
                 let col = self
@@ -178,21 +193,45 @@ impl Table {
         self.rows[row_idx][col] = v;
     }
 
-    /// Delete the rows at the given (sorted, deduplicated) indices.
-    pub fn delete_rows(&mut self, indices: &[usize]) {
-        let mut keep = 0usize;
+    /// Delete the rows at the given (sorted, deduplicated) indices,
+    /// keeping the survivors in order. Returns the removed rows with their
+    /// former indices, ascending — what [`Table::restore_rows`] puts back.
+    pub fn delete_rows(&mut self, indices: &[usize]) -> Vec<(usize, Vec<SqlValue>)> {
+        let mut removed = Vec::with_capacity(indices.len());
+        if indices.is_empty() {
+            return removed;
+        }
         let mut del_iter = indices.iter().peekable();
-        for i in 0..self.rows.len() {
+        let all = std::mem::take(&mut self.rows);
+        self.rows.reserve(all.len() - indices.len());
+        for (i, row) in all.into_iter().enumerate() {
             if del_iter.peek() == Some(&&i) {
                 del_iter.next();
-                continue;
+                removed.push((i, row));
+            } else {
+                self.rows.push(row);
             }
-            self.rows.swap(keep, i);
-            keep += 1;
         }
-        self.rows.truncate(keep);
         self.rebuild_indexes()
             .expect("deleting rows cannot create conflicts");
+        removed
+    }
+
+    /// Put rows removed by [`Table::delete_rows`] back at their former
+    /// indices. Leaves the unique indexes to the caller
+    /// ([`Table::rebuild_indexes`]).
+    pub(crate) fn restore_rows(&mut self, removed: Vec<(usize, Vec<SqlValue>)>) {
+        let kept = std::mem::take(&mut self.rows);
+        self.rows.reserve(kept.len() + removed.len());
+        let mut kept = kept.into_iter();
+        for (idx, row) in removed {
+            while self.rows.len() < idx {
+                self.rows
+                    .push(kept.next().expect("restored index within the table"));
+            }
+            self.rows.push(row);
+        }
+        self.rows.extend(kept);
     }
 
     /// Rebuild the unique indexes from the row store, failing on duplicates

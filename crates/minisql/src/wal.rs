@@ -39,7 +39,7 @@ const GROUP_COMMIT: &str = "COMMIT";
 pub struct WalGroup {
     /// The `BEGIN` marker frame, then one frame per statement.
     frames: Vec<u8>,
-    statements: usize,
+    pub(crate) statements: usize,
 }
 
 impl WalGroup {
@@ -124,6 +124,14 @@ impl Wal {
         let mut buf = Vec::new();
         push_frame(&mut buf, &rendered);
         self.append(&buf)
+    }
+
+    /// Make every later append fail, as a full or failing disk would: the
+    /// log is reopened read-only, so writes error out and nothing lands.
+    #[cfg(test)]
+    pub(crate) fn fail_appends(&mut self) -> Result<(), Error> {
+        self.wal = File::open(self.dir.join("wal.sql"))?;
+        Ok(())
     }
 
     /// Append a committed transaction as one group (`BEGIN` marker,

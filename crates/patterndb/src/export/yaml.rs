@@ -15,9 +15,11 @@ pub fn render(entries: &[ExportEntry]) -> String {
     for e in entries {
         out.push_str(&format!("- id: {}\n", e.stored.id));
         out.push_str(&format!("  service: {}\n", yaml_string(&e.stored.service)));
+        // The plain form: a literal `%` is shown as itself, not as the
+        // store's `%%` escape.
         out.push_str(&format!(
             "  pattern: {}\n",
-            yaml_string(&e.stored.pattern_text)
+            yaml_string(&e.pattern.render_plain())
         ));
         out.push_str(&format!("  count: {}\n", e.stored.count));
         out.push_str(&format!("  first_seen: {}\n", e.stored.first_seen));
@@ -92,6 +94,18 @@ mod tests {
         assert!(doc.contains("  count: 42"));
         assert!(doc.contains("  complexity: 0.6000"));
         assert!(doc.contains("\\nline2"));
+    }
+
+    #[test]
+    fn literal_percent_is_exported_plain() {
+        // The store keeps `%%` so the pattern parses back; the export shows
+        // the `%` an operator would write.
+        let text = "map 100%% reduce %r%";
+        let mut e = entry();
+        e.stored.pattern_text = text.into();
+        e.pattern = Pattern::parse(text).unwrap();
+        let doc = render(&[e]);
+        assert!(doc.contains("  pattern: \"map 100% reduce %r%\""), "{doc}");
     }
 
     #[test]

@@ -103,14 +103,21 @@ impl DrainSignal {
     }
 }
 
+/// One service's compiled set: the lock serializes the service's plan and
+/// publish steps; the `Arc` inside is the one published on the board.
+type SetCell = Arc<Mutex<Arc<PatternSet>>>;
+
 /// The mining state shared between workers and miners, with the old
 /// engine-wide lock split into the pieces that actually contend:
 ///
 /// * `store` — one lock around the pattern store, held only for the brief
 ///   commit transactions and control-plane reads.
-/// * `sets` — one lock *per service* around the in-memory compiled set,
+/// * `sets` — one lock *per service* around the service's compiled set,
 ///   held during that service's plan and publish steps. The registry map
-///   itself is locked only to look a cell up.
+///   itself is locked only to look a cell up. The cell holds the very
+///   `Arc` the [`PatternBoard`] serves, so each service has one compiled
+///   set in memory, not a private copy plus a published clone; a publish
+///   builds the next set beside it and swaps both pointers.
 ///
 /// Scanner, analyser and config are immutable and shared freely.
 #[derive(Debug)]
@@ -120,7 +127,7 @@ pub struct MiningEngine {
     analyzer: Analyzer,
     evolve: EvolveMode,
     store: Mutex<PatternStore>,
-    sets: Mutex<HashMap<String, Arc<Mutex<PatternSet>>>>,
+    sets: Mutex<HashMap<String, SetCell>>,
     /// Per-service live evolution state ([`EvolveMode::Online`] only).
     /// Services are shard-affine, and per-shard jobs are serialized, so at
     /// most one job ever holds a given evolver's lock.
@@ -129,16 +136,21 @@ pub struct MiningEngine {
 
 impl MiningEngine {
     /// Build an engine over a pattern store, loading any persisted patterns.
-    /// Returns the engine plus a plain copy of the loaded per-service sets
-    /// for seeding the serving plane (the [`PatternBoard`]).
+    /// Returns the engine plus the loaded per-service sets for seeding the
+    /// serving plane (the [`PatternBoard`]) — the same `Arc`s the engine
+    /// holds, not copies.
     pub fn new(
         mut store: PatternStore,
         config: RtgConfig,
-    ) -> Result<(MiningEngine, HashMap<String, PatternSet>), StoreError> {
-        let (seed, _bad) = store.load_pattern_sets()?;
+    ) -> Result<(MiningEngine, HashMap<String, Arc<PatternSet>>), StoreError> {
+        let (loaded, _bad) = store.load_pattern_sets()?;
+        let seed: HashMap<String, Arc<PatternSet>> = loaded
+            .into_iter()
+            .map(|(service, set)| (service, Arc::new(set)))
+            .collect();
         let sets = seed
             .iter()
-            .map(|(service, set)| (service.clone(), Arc::new(Mutex::new(set.clone()))))
+            .map(|(service, set)| (service.clone(), Arc::new(Mutex::new(Arc::clone(set)))))
             .collect();
         Ok((
             MiningEngine {
@@ -183,15 +195,15 @@ impl MiningEngine {
         &self.store
     }
 
-    /// The lock cell for one service's in-memory compiled set, created on
-    /// first use. Cells are never removed, so the `Arc` stays valid across
-    /// the whole daemon lifetime.
-    fn service_set(&self, service: &str) -> Arc<Mutex<PatternSet>> {
+    /// The lock cell for one service's compiled set, created on first use.
+    /// Cells are never removed, so the `Arc` stays valid across the whole
+    /// daemon lifetime.
+    fn service_set(&self, service: &str) -> SetCell {
         let mut sets = self.sets.lock().expect("sets lock");
         match sets.get(service) {
             Some(cell) => Arc::clone(cell),
             None => {
-                let cell = Arc::new(Mutex::new(PatternSet::new()));
+                let cell = Arc::new(Mutex::new(Arc::new(PatternSet::new())));
                 sets.insert(service.to_string(), Arc::clone(&cell));
                 cell
             }
@@ -326,7 +338,7 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
     // untouched. Plans are reusable data, so a failed commit retries
     // without paying for the analysis again.
     let engine = &deps.engine;
-    let plans: Vec<(&str, Arc<Mutex<PatternSet>>, ServicePlan)> = by_service
+    let plans: Vec<(&str, SetCell, ServicePlan)> = by_service
         .iter()
         .map(|(service, records)| {
             let cell = engine.service_set(service);
@@ -427,10 +439,15 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
         for ((service, cell, _plan), outcome) in plans.iter().zip(outcomes) {
             let published = {
                 let mut set = cell.lock().expect("service set lock");
-                for (id, pattern) in outcome.inserted {
-                    set.insert(id, pattern);
+                if !outcome.inserted.is_empty() {
+                    // Readers may still hold the current set, so the next
+                    // one is built beside it; the old copy is freed when
+                    // its last reader lets go.
+                    let mut next = PatternSet::clone(&set);
+                    next.extend(outcome.inserted);
+                    *set = Arc::new(next);
                 }
-                set.clone()
+                Arc::clone(&set)
             };
             deps.board.publish(service, published);
             Ops::inc(&deps.ops.swaps);
@@ -454,7 +471,7 @@ pub fn mine_job(deps: &MinerDeps, scratch: &mut MatchScratch, job: MineJob) {
 /// retries start clean.
 fn commit_plans(
     store: &mut PatternStore,
-    plans: &[(&str, Arc<Mutex<PatternSet>>, ServicePlan)],
+    plans: &[(&str, SetCell, ServicePlan)],
     now: u64,
 ) -> Result<Vec<CommitOutcome>, StoreError> {
     store.begin()?;
@@ -619,10 +636,10 @@ fn evolve_job(deps: &MinerDeps, job: MineJob) {
             }
             let published = {
                 let mut state = cell.lock().expect("service evolver lock");
-                state.apply_commit(&plan.removed, &outcome)
+                Arc::new(state.apply_commit(&plan.removed, &outcome))
             };
             let set_cell = engine.service_set(service);
-            *set_cell.lock().expect("service set lock") = published.clone();
+            *set_cell.lock().expect("service set lock") = Arc::clone(&published);
             deps.board.publish(service, published);
             Ops::inc(&deps.ops.swaps);
         }
@@ -1040,6 +1057,46 @@ mod tests {
             release_up_to: 0,
             enqueued: Instant::now(),
         }
+    }
+
+    /// One compiled set per service: the engine's cell and the board serve
+    /// the same `Arc`, after a store reload and after every publish.
+    #[test]
+    fn engine_cell_and_board_share_one_set() {
+        let same = |deps: &MinerDeps, service: &str| {
+            let cell = deps.engine.service_set(service);
+            let held = Arc::clone(&cell.lock().unwrap());
+            Arc::ptr_eq(&held, &deps.board.load(service).expect("published"))
+        };
+        let deps = test_deps();
+        let miner = Miner::inline(deps.clone());
+        miner.try_submit(job(0, sshd_batch())).unwrap();
+        assert!(same(&deps, "sshd"));
+        // A job that mines nothing new republishes the same set, uncopied.
+        let before = deps.board.load("sshd").unwrap();
+        let mut counts = job(0, Vec::new());
+        counts.counts.insert("some-id".into(), 3);
+        miner.try_submit(counts).unwrap();
+        assert!(Arc::ptr_eq(&before, &deps.board.load("sshd").unwrap()));
+        miner
+            .try_submit(job(0, vec![record("sshd", "disk full on sda")]))
+            .unwrap();
+        assert!(same(&deps, "sshd"));
+        assert_eq!(deps.board.load("sshd").unwrap().len(), 2);
+
+        // Restart: the sets the engine loads are the ones the board serves.
+        let mut store = PatternStore::in_memory();
+        let discovered = sequence_core::DiscoveredPattern {
+            pattern: sequence_core::Pattern::parse("session opened for user %u%").unwrap(),
+            match_count: 3,
+            examples: vec!["session opened for user alice".into()],
+            member_indices: Vec::new(),
+        };
+        store.upsert_discovered("sshd", &discovered, 0).unwrap();
+        let (engine, seed) = MiningEngine::new(store, RtgConfig::default()).unwrap();
+        let deps = deps_for(engine);
+        deps.board.seed(seed);
+        assert!(same(&deps, "sshd"));
     }
 
     #[test]

@@ -135,6 +135,13 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 break;
             }
+            // Hand-off before waiting: a consumer parked on the empty queue
+            // must see what this batch already enqueued, or nobody frees the
+            // space this push is about to wait for and it sleeps out the
+            // whole timeout (the lost wakeup that rejected most of a flood).
+            if accepted > 0 {
+                self.not_empty.notify_one();
+            }
             let (guard, _res) = self
                 .not_full
                 .wait_timeout(st, deadline - now)
@@ -417,6 +424,31 @@ mod tests {
             "consumer waited {:?} past close",
             woke.saturating_duration_since(closed_at)
         );
+    }
+
+    /// Regression for the lost wakeup: a batch larger than the queue must
+    /// wake the parked consumer before it waits for space, so the consumer
+    /// drains while the producer waits and the whole batch is accepted.
+    #[test]
+    fn push_batch_wakes_parked_consumer_before_waiting_for_space() {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(8));
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            while let Ok(batch) = q2.pop_batch_blocking(64) {
+                got.extend(batch);
+            }
+            got
+        });
+        // Let the consumer park on the empty queue first.
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        let accepted = q.push_batch((0..1000).collect(), Duration::from_secs(5));
+        let took = start.elapsed();
+        q.close();
+        assert_eq!(accepted, 1000, "accepted {accepted} of 1000 in {took:?}");
+        assert!(took < Duration::from_secs(1), "push_batch took {took:?}");
+        assert_eq!(consumer.join().unwrap(), (0..1000).collect::<Vec<u32>>());
     }
 
     #[test]

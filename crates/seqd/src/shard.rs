@@ -291,10 +291,10 @@ impl ShardWorker {
         // line is only needed again if the record joins the residue (it
         // keeps the LogRecord).
         self.scanner.scan_into(&record.message, tokens);
-        let outcome = self
-            .board
-            .load(&record.service)
-            .and_then(|set| set.match_message_with(tokens, scratch));
+        let set = self.board.load(&record.service);
+        let hit = set
+            .as_deref()
+            .and_then(|set| set.match_id_with(tokens, scratch));
         // Attribute construction is deferred behind the slow-ring's atomic
         // gate, so the per-record cost stays two atomic adds per histogram.
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -319,10 +319,15 @@ impl ShardWorker {
                 ],
             );
         }
-        match outcome {
-            Some(hit) => {
+        match hit {
+            Some(id) => {
                 Ops::inc(&self.ops.matched);
-                *match_counts.entry(hit.pattern_id).or_insert(0) += 1;
+                match match_counts.get_mut(id) {
+                    Some(n) => *n += 1,
+                    None => {
+                        match_counts.insert(id.to_string(), 1);
+                    }
+                }
             }
             None => {
                 Ops::inc(&self.ops.unmatched);

@@ -19,10 +19,10 @@ pub struct SwapCell<T> {
 }
 
 impl<T> SwapCell<T> {
-    /// A cell holding `value`.
-    pub fn new(value: T) -> SwapCell<T> {
+    /// A cell serving `value`.
+    pub fn new(value: Arc<T>) -> SwapCell<T> {
         SwapCell {
-            slot: RwLock::new(Arc::new(value)),
+            slot: RwLock::new(value),
         }
     }
 
@@ -53,8 +53,8 @@ impl PatternBoard {
     }
 
     /// Seed the board from pre-existing per-service sets (store reload at
-    /// daemon start).
-    pub fn seed(&self, sets: HashMap<String, PatternSet>) {
+    /// daemon start). The board keeps the given `Arc`s, not copies.
+    pub fn seed(&self, sets: HashMap<String, Arc<PatternSet>>) {
         let mut map = self.services.write().expect("board lock");
         for (service, set) in sets {
             map.insert(service, Arc::new(SwapCell::new(set)));
@@ -71,10 +71,12 @@ impl PatternBoard {
     }
 
     /// Publish a new compiled set for `service`, creating the slot on first
-    /// publication. Returns the number of patterns published.
-    pub fn publish(&self, service: &str, set: PatternSet) -> usize {
+    /// publication. The board serves the given `Arc` itself, so a caller
+    /// that keeps its own handle shares one copy with every reader. Returns
+    /// the number of patterns published.
+    pub fn publish(&self, service: &str, set: impl Into<Arc<PatternSet>>) -> usize {
+        let set: Arc<PatternSet> = set.into();
         let n = set.len();
-        let set = Arc::new(set);
         {
             let map = self.services.read().expect("board lock");
             if let Some(cell) = map.get(service) {
@@ -83,9 +85,12 @@ impl PatternBoard {
             }
         }
         let mut map = self.services.write().expect("board lock");
-        map.entry(service.to_string())
-            .or_insert_with(|| Arc::new(SwapCell::new(PatternSet::new())))
-            .store(set);
+        match map.get(service) {
+            Some(cell) => cell.store(set),
+            None => {
+                map.insert(service.to_string(), Arc::new(SwapCell::new(set)));
+            }
+        }
         n
     }
 
@@ -155,8 +160,8 @@ mod tests {
     fn seed_installs_initial_sets() {
         let board = PatternBoard::new();
         let mut sets = HashMap::new();
-        sets.insert("a".to_string(), one_pattern("x %n:integer%"));
-        sets.insert("b".to_string(), PatternSet::new());
+        sets.insert("a".to_string(), Arc::new(one_pattern("x %n:integer%")));
+        sets.insert("b".to_string(), Arc::new(PatternSet::new()));
         board.seed(sets);
         assert_eq!(board.services(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(board.total_patterns(), 1);

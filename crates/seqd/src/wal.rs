@@ -32,7 +32,7 @@ use crate::shard::shard_for;
 use sequence_rtg::LogRecord;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -58,30 +58,32 @@ impl Accepted {
 /// One shard's log state, guarded by a mutex so the append+enqueue pair is
 /// atomic with respect to [`IngestWal::release`] — a released sequence can
 /// never race ahead of its queue entry.
+///
+/// The record bodies live only on disk: memory holds 16 bytes per pending
+/// record (its sequence and where its line ends), so a deep backlog costs
+/// the log file, not the heap. Offsets are *logical*: they count every byte
+/// ever appended to this shard's log, and `base` is the logical offset of
+/// the current file's first byte, so a release rewrite moves `base` instead
+/// of renumbering the survivors.
 #[derive(Debug)]
 struct ShardWal {
     path: PathBuf,
     file: File,
     next_seq: u64,
-    /// Lines (newline-less) still covered by the on-disk log, oldest first.
-    pending: VecDeque<(u64, String)>,
+    /// `(seq, end)` of each record still covered by the on-disk log, oldest
+    /// first; `end` is the logical offset just past the record's newline.
+    pending: VecDeque<(u64, u64)>,
+    /// Logical offset of the file's first byte.
+    base: u64,
+    /// Logical offset of the file's end (the next append's start).
+    end: u64,
     appends_since_sync: usize,
     dirty: bool,
 }
 
 impl ShardWal {
     fn append(&mut self, seq: u64, line: String, sync_every: usize) -> io::Result<()> {
-        let started = std::time::Instant::now();
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        crate::metrics::stages::wal_append().record(started.elapsed());
-        self.pending.push_back((seq, line));
-        self.dirty = true;
-        self.appends_since_sync += 1;
-        if self.appends_since_sync >= sync_every {
-            self.sync()?;
-        }
-        Ok(())
+        self.append_batch(seq, vec![line], sync_every)
     }
 
     /// Append a contiguous run of already-sequenced lines with a single
@@ -99,14 +101,21 @@ impl ShardWal {
             buf.extend_from_slice(line.as_bytes());
             buf.push(b'\n');
         }
-        self.file.write_all(&buf)?;
+        if let Err(e) = self.file.write_all(&buf) {
+            // Cut a partial write back off, so the next append does not
+            // glue its first record onto a torn line.
+            let len = self.end - self.base;
+            let _ = self.file.set_len(len);
+            let _ = self.file.seek(SeekFrom::Start(len));
+            return Err(e);
+        }
         crate::metrics::stages::wal_append().record(started.elapsed());
-        let count = lines.len();
-        for (i, line) in lines.into_iter().enumerate() {
-            self.pending.push_back((base_seq + i as u64, line));
+        for (i, line) in lines.iter().enumerate() {
+            self.end += line.len() as u64 + 1;
+            self.pending.push_back((base_seq + i as u64, self.end));
         }
         self.dirty = true;
-        self.appends_since_sync += count;
+        self.appends_since_sync += lines.len();
         if self.appends_since_sync >= sync_every {
             self.sync()?;
         }
@@ -124,20 +133,27 @@ impl ShardWal {
         Ok(())
     }
 
-    /// Rewrite the log to exactly the pending entries (write temp, fsync,
-    /// rename over). The temp name matches no recovery glob, so a crash
+    /// Rewrite the log to its tail from logical offset `cut` (write temp,
+    /// fsync, rename over), copying the surviving lines from the file
+    /// itself. The temp name matches no recovery glob, so a crash
     /// mid-rewrite is recovered from the untouched original.
-    fn rewrite(&mut self) -> io::Result<()> {
+    fn rewrite_from(&mut self, cut: u64) -> io::Result<()> {
         let tmp = self.path.with_extension("rewrite");
         let mut file = File::create(&tmp)?;
-        for (_, line) in &self.pending {
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
+        let mut tail = File::open(&self.path)?;
+        tail.seek(SeekFrom::Start(cut - self.base))?;
+        let copied = io::copy(&mut tail.take(self.end - cut), &mut file)?;
+        if copied != self.end - cut {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "wal shorter than its pending records",
+            ));
         }
         file.sync_data()?;
         fs::rename(&tmp, &self.path)?;
         // The renamed handle *is* the live log now; keep appending to it.
         self.file = file;
+        self.base = cut;
         self.dirty = false;
         self.appends_since_sync = 0;
         Ok(())
@@ -225,6 +241,8 @@ impl IngestWal {
                 file,
                 next_seq: 1,
                 pending: VecDeque::new(),
+                base: 0,
+                end: 0,
                 appends_since_sync: 0,
                 dirty: false,
             }));
@@ -344,14 +362,18 @@ impl IngestWal {
     /// log to the survivors.
     pub fn release(&self, shard: usize, up_to: u64) -> io::Result<()> {
         let mut sw = self.shards[shard].lock().expect("wal lock");
-        let before = sw.pending.len();
-        while sw.pending.front().is_some_and(|(seq, _)| *seq <= up_to) {
+        let mut cut = None;
+        while let Some(&(seq, end)) = sw.pending.front() {
+            if seq > up_to {
+                break;
+            }
+            cut = Some(end);
             sw.pending.pop_front();
         }
-        if sw.pending.len() == before {
-            return Ok(());
+        match cut {
+            Some(cut) => sw.rewrite_from(cut),
+            None => Ok(()),
         }
-        sw.rewrite()
     }
 
     /// Per-shard count of records still covered by the log.
@@ -479,6 +501,38 @@ mod tests {
             .map(|a| a.record.message.as_str())
             .collect();
         assert_eq!(messages, vec!["event 2", "event 3", "event 4"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Releases rewrite the log from its tail, keeping only offsets in
+    /// memory: after several releases in the middle of the log (one a
+    /// no-op, one mid-batch), a reopen replays exactly the unreleased
+    /// suffix, in order, and appends after a rewrite land behind it.
+    #[test]
+    fn mid_log_releases_replay_exactly_the_unreleased_suffix() {
+        let dir = scratch_dir("suffix");
+        let (wal, _) = IngestWal::open(&dir, 1, 1000).unwrap();
+        let queue = Arc::new(BoundedQueue::new(1024));
+        let batch = |from: usize, to: usize| -> Vec<LogRecord> {
+            (from..to)
+                .map(|i| record("svc", &format!("event {i} {}", "x".repeat(i % 7))))
+                .collect()
+        };
+        let wait = Duration::from_millis(5);
+        assert_eq!(wal.append_route_batch(0, batch(0, 40), &queue, wait), 40);
+        wal.release(0, 10).unwrap();
+        wal.release(0, 10).unwrap(); // nothing left at or below 10
+        assert_eq!(wal.append_route_batch(0, batch(40, 60), &queue, wait), 20);
+        wal.release(0, 25).unwrap();
+        assert_eq!(wal.append_route_batch(0, batch(60, 70), &queue, wait), 10);
+        wal.release(0, 45).unwrap(); // inside the second batch
+        assert_eq!(wal.depths(), vec![25]);
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, replay) = IngestWal::open(&dir, 1, 1000).unwrap();
+        let messages: Vec<String> = replay[0].iter().map(|a| a.record.message.clone()).collect();
+        let expected: Vec<String> = batch(45, 70).into_iter().map(|r| r.message).collect();
+        assert_eq!(messages, expected);
         fs::remove_dir_all(&dir).unwrap();
     }
 

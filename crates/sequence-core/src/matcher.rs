@@ -12,14 +12,22 @@
 //! * **literal edges**, keyed by exact token text (a literal pattern element
 //!   matches on text alone, whatever the token's scan-time type — `port 22`
 //!   mined as two literals matches the integer token `22`);
-//! * **typed-variable edges**, one slot per [`TokenType`] — `%x:integer%`
-//!   follows the `Integer` slot, the free-text `%x%` follows the `Literal`
-//!   slot, and the analysis-time refinements `%x:email%`/`%x:host%` follow
-//!   their slots *guarded* by the same text predicates the linear matcher
-//!   applies ([`crate::analyzer::is_email`] / [`crate::analyzer::is_hostname`]);
-//! * **terminal lists**: entry indices of patterns ending here, split into
-//!   exact terminals (pattern consumed the whole message) and ignore-rest
-//!   terminals (pattern prefix consumed, the rest is discarded).
+//! * **typed-variable edges**, a short list of `(type, child)` pairs —
+//!   `%x:integer%` follows the `Integer` edge, the free-text `%x%` follows
+//!   the `Literal` edge, and the analysis-time refinements
+//!   `%x:email%`/`%x:host%` follow their edges *guarded* by the same text
+//!   predicates the linear matcher applies ([`crate::analyzer::is_email`] /
+//!   [`crate::analyzer::is_hostname`]);
+//! * **terminals**: entry indices of patterns ending here, each flagged as
+//!   exact (pattern consumed the whole message) or ignore-rest (pattern
+//!   prefix consumed, the rest is discarded).
+//!
+//! The layout is sized for what mined sets look like: several nodes per
+//! pattern, most with one child. A node is 56 bytes; one literal edge is
+//! stored in the node itself, a few in a short list scanned in place, and
+//! only a wide fan-out gets a hash table. Edge texts
+//! live in one arena string per trie rather than one allocation per edge.
+//! Typed edges and terminals are boxed slices that cost nothing when empty.
 //!
 //! A message token may legally follow several edges at once (the integer
 //! token `22` follows both a `22` literal edge and an `Integer` variable
@@ -35,7 +43,7 @@
 
 use crate::analyzer::{is_email, is_hostname};
 use crate::pattern::{Pattern, PatternElement};
-use crate::token::{Token, TokenType, TOKEN_TYPE_COUNT};
+use crate::token::{Token, TokenType};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -72,28 +80,54 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// One node of the matcher trie.
-#[derive(Debug, Clone)]
-struct MatchNode {
-    /// Literal edges by exact token text.
-    literal: FxMap<String, u32>,
-    /// Typed-variable edges, indexed by [`TokenType::index`].
-    var: [Option<u32>; TOKEN_TYPE_COUNT],
-    /// Entries (indices into the owning set) whose full pattern ends here.
-    exact: Vec<u32>,
-    /// Entries whose fixed prefix ends here with an ignore-rest marker.
-    ignore: Vec<u32>,
+/// A literal edge whose text is `text[start..start + len]` in the owning
+/// trie's arena.
+#[derive(Debug, Clone, Copy)]
+struct LitEdge {
+    start: u32,
+    len: u32,
+    child: u32,
 }
 
-impl MatchNode {
-    fn new() -> MatchNode {
-        MatchNode {
-            literal: FxMap::default(),
-            var: [None; TOKEN_TYPE_COUNT],
-            exact: Vec::new(),
-            ignore: Vec::new(),
-        }
-    }
+/// Past this many literal edges a node switches from a list scanned in
+/// place to a hash table.
+const FEW_LITERALS: usize = 8;
+
+/// A node's literal edges, by fan-out.
+#[derive(Debug, Clone, Default)]
+enum Literals {
+    #[default]
+    None,
+    One(LitEdge),
+    Few(Box<[LitEdge]>),
+    Many(Box<FxMap<Box<str>, u32>>),
+}
+
+/// A typed-variable edge.
+#[derive(Debug, Clone, Copy)]
+struct VarEdge {
+    ty: TokenType,
+    child: u32,
+}
+
+/// Terminal flag: the entry's pattern ends with an ignore-rest marker.
+const IGNORE_REST: u32 = 1;
+
+/// One node of the matcher trie.
+#[derive(Debug, Clone, Default)]
+struct MatchNode {
+    literal: Literals,
+    /// Typed-variable edges; at most one per [`TokenType`].
+    var: Box<[VarEdge]>,
+    /// Entries (indices into the owning set) whose pattern ends here, as
+    /// `idx << 1 | IGNORE_REST` for an ignore-rest terminal.
+    terminals: Box<[u32]>,
+}
+
+fn push_boxed<T>(slice: &mut Box<[T]>, item: T) {
+    let mut v = std::mem::take(slice).into_vec();
+    v.push(item);
+    *slice = v.into_boxed_slice();
 }
 
 /// Reusable frontier buffers for [`MatcherTrie::walk`]. Hot loops should
@@ -110,6 +144,8 @@ pub struct MatchScratch {
 #[derive(Debug, Clone)]
 pub(crate) struct MatcherTrie {
     nodes: Vec<MatchNode>,
+    /// Texts of the list-stored literal edges, back to back.
+    text: String,
 }
 
 const ROOT: u32 = 0;
@@ -123,7 +159,8 @@ impl Default for MatcherTrie {
 impl MatcherTrie {
     pub(crate) fn new() -> MatcherTrie {
         MatcherTrie {
-            nodes: vec![MatchNode::new()],
+            nodes: vec![MatchNode::default()],
+            text: String::new(),
         }
     }
 
@@ -132,28 +169,90 @@ impl MatcherTrie {
         self.nodes.len()
     }
 
+    /// Reserve room for `elements` more pattern elements (an upper bound on
+    /// the nodes they add), so a batch of inserts grows the node table once
+    /// and exactly instead of doubling it.
+    pub(crate) fn reserve(&mut self, elements: usize) {
+        self.nodes.reserve_exact(elements);
+    }
+
+    fn edge_text(&self, e: &LitEdge) -> &str {
+        &self.text[e.start as usize..(e.start + e.len) as usize]
+    }
+
+    /// The child of node `at` along the literal edge `text`, if any.
+    fn literal_child(&self, at: u32, text: &str) -> Option<u32> {
+        match &self.nodes[at as usize].literal {
+            Literals::None => None,
+            Literals::One(e) => (self.edge_text(e) == text).then_some(e.child),
+            Literals::Few(edges) => edges
+                .iter()
+                .find(|e| self.edge_text(e) == text)
+                .map(|e| e.child),
+            Literals::Many(map) => map.get(text).copied(),
+        }
+    }
+
+    fn add_literal(&mut self, at: u32, text: &str, child: u32) {
+        let literal = std::mem::take(&mut self.nodes[at as usize].literal);
+        let literal = match literal {
+            Literals::Few(edges) if edges.len() >= FEW_LITERALS => {
+                let mut map: FxMap<Box<str>, u32> = edges
+                    .iter()
+                    .map(|e| (self.edge_text(e).into(), e.child))
+                    .collect();
+                map.insert(text.into(), child);
+                Literals::Many(Box::new(map))
+            }
+            Literals::Many(mut map) => {
+                map.insert(text.into(), child);
+                Literals::Many(map)
+            }
+            small => {
+                let edge = LitEdge {
+                    start: self.text.len() as u32,
+                    len: text.len() as u32,
+                    child,
+                };
+                self.text.push_str(text);
+                match small {
+                    Literals::None => Literals::One(edge),
+                    Literals::One(first) => Literals::Few(Box::new([first, edge])),
+                    Literals::Few(mut edges) => {
+                        push_boxed(&mut edges, edge);
+                        Literals::Few(edges)
+                    }
+                    Literals::Many(_) => unreachable!("handled above"),
+                }
+            }
+        };
+        self.nodes[at as usize].literal = literal;
+    }
+
     /// Compile one pattern into the trie as entry `entry_idx`.
     pub(crate) fn insert(&mut self, entry_idx: u32, pattern: &Pattern) {
         let mut at = ROOT;
         for el in pattern.elements() {
             at = match el {
-                PatternElement::Literal { text, .. } => {
-                    match self.nodes[at as usize].literal.get(text.as_str()) {
-                        Some(&next) => next,
-                        None => {
-                            let next = self.push_node();
-                            self.nodes[at as usize].literal.insert(text.clone(), next);
-                            next
-                        }
+                PatternElement::Literal { text, .. } => match self.literal_child(at, text) {
+                    Some(next) => next,
+                    None => {
+                        let next = self.push_node();
+                        self.add_literal(at, text, next);
+                        next
                     }
-                }
+                },
                 PatternElement::Variable { ty, .. } => {
-                    let slot = ty.index();
-                    match self.nodes[at as usize].var[slot] {
-                        Some(next) => next,
+                    let node = &self.nodes[at as usize];
+                    match node.var.iter().find(|v| v.ty == *ty) {
+                        Some(v) => v.child,
                         None => {
                             let next = self.push_node();
-                            self.nodes[at as usize].var[slot] = Some(next);
+                            let edge = VarEdge {
+                                ty: *ty,
+                                child: next,
+                            };
+                            push_boxed(&mut self.nodes[at as usize].var, edge);
                             next
                         }
                     }
@@ -161,17 +260,31 @@ impl MatcherTrie {
                 PatternElement::IgnoreRest => break,
             };
         }
-        if pattern.has_ignore_rest() {
-            self.nodes[at as usize].ignore.push(entry_idx);
+        let flag = if pattern.has_ignore_rest() {
+            IGNORE_REST
         } else {
-            self.nodes[at as usize].exact.push(entry_idx);
-        }
+            0
+        };
+        push_boxed(
+            &mut self.nodes[at as usize].terminals,
+            entry_idx << 1 | flag,
+        );
     }
 
     fn push_node(&mut self) -> u32 {
         let id = self.nodes.len() as u32;
-        self.nodes.push(MatchNode::new());
+        self.nodes.push(MatchNode::default());
         id
+    }
+
+    /// Report node `nid`'s ignore-rest terminals (`exact == false`) or its
+    /// exact ones (`exact == true`).
+    fn terminals<F: FnMut(u32, bool)>(&self, nid: u32, exact: bool, on_candidate: &mut F) {
+        for &t in self.nodes[nid as usize].terminals.iter() {
+            if (t & IGNORE_REST == 0) == exact {
+                on_candidate(t >> 1, exact);
+            }
+        }
     }
 
     /// Walk the trie over `tokens`, reporting every candidate entry:
@@ -186,36 +299,26 @@ impl MatcherTrie {
     ) {
         scratch.cur.clear();
         scratch.cur.push(ROOT);
-        for &e in &self.nodes[ROOT as usize].ignore {
-            on_candidate(e, false);
-        }
+        self.terminals(ROOT, false, &mut on_candidate);
         for tok in tokens {
             scratch.next.clear();
+            let text = tok.text.as_str();
             for &nid in &scratch.cur {
-                let node = &self.nodes[nid as usize];
-                // The emptiness guard skips the text hash entirely on nodes
-                // with no literal edges (common below variable edges).
-                if !node.literal.is_empty() {
-                    if let Some(&next) = node.literal.get(tok.text.as_str()) {
-                        scratch.next.push(next);
-                    }
-                }
-                if let Some(next) = node.var[tok.ty.index()] {
-                    scratch.next.push(next);
-                }
-                if tok.ty == TokenType::Literal {
-                    // Analysis-time refinements accept literal tokens whose
-                    // text satisfies the predicate (the scanner itself never
-                    // produces Email/Hostname tokens).
-                    if let Some(next) = node.var[TokenType::Email.index()] {
-                        if is_email(&tok.text) {
-                            scratch.next.push(next);
-                        }
-                    }
-                    if let Some(next) = node.var[TokenType::Hostname.index()] {
-                        if is_hostname(&tok.text) {
-                            scratch.next.push(next);
-                        }
+                scratch.next.extend(self.literal_child(nid, text));
+                for v in self.nodes[nid as usize].var.iter() {
+                    let follows = v.ty == tok.ty
+                        || (tok.ty == TokenType::Literal
+                            // Analysis-time refinements accept literal
+                            // tokens whose text satisfies the predicate (the
+                            // scanner itself never produces Email/Hostname
+                            // tokens).
+                            && match v.ty {
+                                TokenType::Email => is_email(text),
+                                TokenType::Hostname => is_hostname(text),
+                                _ => false,
+                            });
+                    if follows {
+                        scratch.next.push(v.child);
                     }
                 }
             }
@@ -224,15 +327,11 @@ impl MatcherTrie {
                 return;
             }
             for &nid in &scratch.cur {
-                for &e in &self.nodes[nid as usize].ignore {
-                    on_candidate(e, false);
-                }
+                self.terminals(nid, false, &mut on_candidate);
             }
         }
         for &nid in &scratch.cur {
-            for &e in &self.nodes[nid as usize].exact {
-                on_candidate(e, true);
-            }
+            self.terminals(nid, true, &mut on_candidate);
         }
     }
 }
@@ -256,6 +355,29 @@ mod tests {
             out.push((e, exact))
         });
         out
+    }
+
+    #[test]
+    fn node_stays_small() {
+        assert!(std::mem::size_of::<MatchNode>() <= 56);
+    }
+
+    #[test]
+    fn literal_fan_out_moves_from_inline_to_list_to_table() {
+        // Fan-outs 1 (inline), FEW_LITERALS (list) and beyond (table) all
+        // keep every edge reachable.
+        for width in [1, 2, FEW_LITERALS, FEW_LITERALS + 1, 40] {
+            let patterns: Vec<String> = (0..width).map(|i| format!("w{i} tail")).collect();
+            let refs: Vec<&str> = patterns.iter().map(String::as_str).collect();
+            let t = trie_with(&refs);
+            for i in 0..width {
+                assert_eq!(
+                    candidates(&t, &format!("w{i} tail")),
+                    vec![(i as u32, true)]
+                );
+            }
+            assert!(candidates(&t, "w tail").is_empty());
+        }
     }
 
     #[test]

@@ -28,8 +28,6 @@ struct Entry {
     id: String,
     pattern: Pattern,
     literals: usize,
-    fixed: usize,
-    ignore_rest: bool,
 }
 
 /// An indexed set of patterns for one stream of messages.
@@ -79,6 +77,18 @@ impl PatternSet {
         self.trie.node_count()
     }
 
+    /// Insert a batch of `(id, pattern)` pairs, growing the set's tables
+    /// once and to fit rather than by doubling — the shape of a publish,
+    /// which copies the set and then adds the newly mined patterns.
+    pub fn extend(&mut self, patterns: Vec<(String, Pattern)>) {
+        self.entries.reserve_exact(patterns.len());
+        self.trie
+            .reserve(patterns.iter().map(|(_, p)| p.elements().len()).sum());
+        for (id, pattern) in patterns {
+            self.insert(id, pattern);
+        }
+    }
+
     /// Insert a pattern under an id, compiling it into the matcher index.
     /// Duplicate ids are allowed (the caller — normally the pattern
     /// database — is responsible for dedup).
@@ -96,8 +106,6 @@ impl PatternSet {
         self.entries.push(Entry {
             id: id.into(),
             literals: pattern.literal_count(),
-            fixed: pattern.fixed_token_count(),
-            ignore_rest: pattern.has_ignore_rest(),
             pattern,
         });
     }
@@ -126,13 +134,33 @@ impl PatternSet {
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
     ) -> Option<ParseOutcome> {
+        self.best(msg, scratch)
+            .map(|idx| self.outcome_for(idx, msg))
+    }
+
+    /// The id of the pattern [`PatternSet::match_message_with`] would
+    /// return, without materialising captures or cloning the id — for
+    /// callers that only count matches per pattern (the daemon's shard
+    /// workers, the mining planner).
+    pub fn match_id_with(
+        &self,
+        msg: &TokenizedMessage,
+        scratch: &mut MatchScratch,
+    ) -> Option<&str> {
+        self.best(msg, scratch)
+            .map(|idx| self.entries[idx as usize].id.as_str())
+    }
+
+    /// The winning entry, by the linear scan (small sets) or the compiled
+    /// index (everything else).
+    fn best(&self, msg: &TokenizedMessage, scratch: &mut MatchScratch) -> Option<u32> {
         // Sampled 1-in-16: this path runs at >1M msgs/s, so a full span per
         // call would dominate the work it measures.
         let _s = obs::sampled_span!("core.match", 4);
         if self.entries.len() <= Self::LINEAR_CUTOFF {
-            self.match_message_linear(msg)
+            self.best_linear(msg)
         } else {
-            self.match_message_indexed(msg, scratch)
+            self.best_indexed(msg, scratch)
         }
     }
 
@@ -145,6 +173,13 @@ impl PatternSet {
         msg: &TokenizedMessage,
         scratch: &mut MatchScratch,
     ) -> Option<ParseOutcome> {
+        self.best_indexed(msg, scratch)
+            .map(|idx| self.outcome_for(idx, msg))
+    }
+
+    /// The winning entry among the trie's candidates: most literals, then
+    /// exact before ignore-rest, then earliest insertion.
+    fn best_indexed(&self, msg: &TokenizedMessage, scratch: &mut MatchScratch) -> Option<u32> {
         let mut best: Option<(usize, bool, u32)> = None;
         self.trie.walk(&msg.tokens, scratch, |idx, exact| {
             let literals = self.entries[idx as usize].literals;
@@ -158,7 +193,35 @@ impl PatternSet {
                 best = Some((literals, exact, idx));
             }
         });
-        best.map(|(_, _, idx)| self.outcome_for(idx, msg))
+        best.map(|(_, _, idx)| idx)
+    }
+
+    /// The winning entry by the linear scan's rules (see
+    /// [`PatternSet::match_message_linear`]), checked without captures.
+    fn best_linear(&self, msg: &TokenizedMessage) -> Option<u32> {
+        let n = msg.token_count();
+        let mut best: Option<(usize, bool, u32)> = None;
+        let mut consider = |idx: u32, exact: bool| {
+            let entry = &self.entries[idx as usize];
+            let better = match best {
+                None => true,
+                Some((bl, bex, _)) => (entry.literals, exact) > (bl, bex),
+            };
+            if better && entry.pattern.matches_tokens(&msg.tokens) {
+                best = Some((entry.literals, exact, idx));
+            }
+        };
+        if let Some(bucket) = self.by_len.get(&n) {
+            for &idx in bucket {
+                consider(idx, true);
+            }
+        }
+        for &idx in &self.ignore_entries {
+            if self.entries[idx as usize].pattern.fixed_token_count() <= n {
+                consider(idx, false);
+            }
+        }
+        best.map(|(_, _, idx)| idx)
     }
 
     /// All patterns the message matches, not just the most specific one —
@@ -180,7 +243,11 @@ impl PatternSet {
             eb.literals
                 .cmp(&ea.literals)
                 .then_with(|| ea.id.cmp(&eb.id))
-                .then_with(|| ea.ignore_rest.cmp(&eb.ignore_rest))
+                .then_with(|| {
+                    ea.pattern
+                        .has_ignore_rest()
+                        .cmp(&eb.pattern.has_ignore_rest())
+                })
                 .then_with(|| a.cmp(&b))
         });
         hits.into_iter()
@@ -231,7 +298,7 @@ impl PatternSet {
         }
         for &idx in &self.ignore_entries {
             let e = &self.entries[idx as usize];
-            if e.fixed <= n {
+            if e.pattern.fixed_token_count() <= n {
                 consider(idx, false, e);
             }
         }
@@ -252,7 +319,7 @@ impl PatternSet {
     /// snapshots are stable across runs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Pattern)> {
         let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_by_key(|&i| (self.entries[i as usize].fixed, i));
+        order.sort_by_key(|&i| (self.entries[i as usize].pattern.fixed_token_count(), i));
         order.into_iter().map(move |i| {
             let e = &self.entries[i as usize];
             (e.id.as_str(), &e.pattern)

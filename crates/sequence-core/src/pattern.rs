@@ -16,7 +16,11 @@
 //!
 //! The paper documents that messages whose *static* text contains a `%` sign
 //! "will cause an unknown tag error at parsing time"; [`Pattern::parse`]
-//! reproduces that behaviour by returning [`PatternParseError::UnknownTag`].
+//! reproduces that behaviour for a raw `%` by returning
+//! [`PatternParseError::UnknownTag`]. [`Pattern::render`] closes the gap for
+//! the patterns this crate writes: it escapes a literal `%` as `%%`, which
+//! `parse` reads back as `%`, so every stored or served pattern parses.
+//! [`Pattern::render_plain`] keeps the unescaped form for exports.
 
 use crate::token::{Token, TokenType, TokenizedMessage};
 use std::collections::HashMap;
@@ -191,32 +195,34 @@ impl Pattern {
     /// limitation discussed in §IV of the paper (a field that is sometimes
     /// alphanumeric and sometimes pure integer yields two patterns).
     pub fn match_tokens(&self, tokens: &[Token]) -> Option<Captures> {
-        let fixed = self.fixed_token_count();
-        if self.has_ignore_rest() {
-            if tokens.len() < fixed {
-                return None;
-            }
-        } else if tokens.len() != fixed {
+        if !self.matches_tokens(tokens) {
             return None;
         }
-        let mut captures = Vec::new();
-        for (el, tok) in self.elements.iter().zip(tokens.iter()) {
-            match el {
-                PatternElement::Literal { text, .. } => {
-                    if *text != tok.text {
-                        return None;
-                    }
-                }
-                PatternElement::Variable { name, ty, .. } => {
-                    if !variable_accepts(*ty, tok) {
-                        return None;
-                    }
-                    captures.push((name.clone(), tok.text.to_string()));
-                }
-                PatternElement::IgnoreRest => break,
-            }
-        }
-        Some(Captures { values: captures })
+        let values = self
+            .elements
+            .iter()
+            .zip(tokens)
+            .filter_map(|(el, tok)| match el {
+                PatternElement::Variable { name, .. } => Some((name.clone(), tok.text.to_string())),
+                _ => None,
+            })
+            .collect();
+        Some(Captures { values })
+    }
+
+    /// Whether the tokens match this pattern — [`Pattern::match_tokens`]
+    /// without building the captures.
+    pub fn matches_tokens(&self, tokens: &[Token]) -> bool {
+        let fits = if self.ignore_rest {
+            tokens.len() >= self.fixed
+        } else {
+            tokens.len() == self.fixed
+        };
+        fits && self.elements.iter().zip(tokens).all(|(el, tok)| match el {
+            PatternElement::Literal { text, .. } => *text == tok.text,
+            PatternElement::Variable { ty, .. } => variable_accepts(*ty, tok),
+            PatternElement::IgnoreRest => true,
+        })
     }
 
     /// Convenience: match a whole [`TokenizedMessage`].
@@ -238,7 +244,7 @@ impl Pattern {
         let mut pending_space = false;
         let scanner = crate::scanner::Scanner::new();
         while i < bytes.len() {
-            if bytes[i] == b'%' {
+            if bytes[i] == b'%' && bytes.get(i + 1) != Some(&b'%') {
                 let close = s[i + 1..].find('%').map(|p| i + 1 + p);
                 let close = match close {
                     Some(c) => c,
@@ -275,13 +281,23 @@ impl Pattern {
                 i = close + 1;
                 continue;
             }
-            // Literal run: everything up to the next `%`, re-tokenised.
-            let start = i;
-            while i < bytes.len() && bytes[i] != b'%' {
-                i += 1;
+            // Literal run: everything up to the next tag, with each `%%`
+            // read as a literal `%`, re-tokenised.
+            let mut run = String::new();
+            let mut start = i;
+            loop {
+                while i < bytes.len() && bytes[i] != b'%' {
+                    i += 1;
+                }
+                run.push_str(&s[start..i]);
+                if bytes.get(i + 1) != Some(&b'%') {
+                    break;
+                }
+                run.push('%');
+                i += 2;
+                start = i;
             }
-            let run = &s[start..i];
-            let scanned = scanner.scan(run);
+            let scanned = scanner.scan(&run);
             for (k, tok) in scanned.tokens.iter().enumerate() {
                 let sp = if k == 0 {
                     pending_space || tok.is_space_before
@@ -298,8 +314,22 @@ impl Pattern {
         Pattern::new(elements)
     }
 
-    /// Render the textual pattern format with exact spacing.
+    /// Render the textual pattern format with exact spacing. A `%` in
+    /// literal text is written `%%`, so the result always parses back:
+    /// `Pattern::parse(&p.render()) == Ok(p)` for mined patterns.
     pub fn render(&self) -> String {
+        self.render_with(true)
+    }
+
+    /// [`Pattern::render`] with literal text written verbatim (a `%` stays
+    /// a single `%`). This is the form the export formats show, and what
+    /// the paper's Sequence emitted; it does not parse back when the
+    /// literal text holds a `%`.
+    pub fn render_plain(&self) -> String {
+        self.render_with(false)
+    }
+
+    fn render_with(&self, escape_percent: bool) -> String {
         let mut out = String::new();
         for (i, el) in self.elements.iter().enumerate() {
             let space = match el {
@@ -311,6 +341,9 @@ impl Pattern {
                 out.push(' ');
             }
             match el {
+                PatternElement::Literal { text, .. } if escape_percent => {
+                    out.push_str(&text.replace('%', "%%"))
+                }
                 PatternElement::Literal { text, .. } => out.push_str(text),
                 PatternElement::Variable { name, ty, .. } => {
                     out.push('%');
@@ -456,6 +489,45 @@ mod tests {
         // documented "unknown tag error at parsing time".
         let err = Pattern::parse("load at 95% of %max:integer%").unwrap_err();
         assert!(matches!(err, PatternParseError::UnknownTag(_)));
+    }
+
+    #[test]
+    fn literal_percent_is_escaped_and_parses_back() {
+        let p = Pattern::new(vec![
+            PatternElement::Literal {
+                text: "load".into(),
+                space_before: false,
+            },
+            PatternElement::Variable {
+                name: "pct".into(),
+                ty: TokenType::Integer,
+                space_before: true,
+            },
+            PatternElement::Literal {
+                text: "%".into(),
+                space_before: false,
+            },
+            PatternElement::Variable {
+                name: "rest".into(),
+                ty: TokenType::Literal,
+                space_before: false,
+            },
+        ])
+        .unwrap();
+        assert_eq!(p.render(), "load %pct:integer%%%%rest%");
+        assert_eq!(p.render_plain(), "load %pct:integer%%%rest%");
+        assert_eq!(Pattern::parse(&p.render()).unwrap(), p);
+        assert_eq!(
+            Pattern::parse("map 100%% reduce 50%%")
+                .unwrap()
+                .render_plain(),
+            "map 100% reduce 50%"
+        );
+        // The raw form still fails exactly as the paper documents.
+        assert!(matches!(
+            Pattern::parse("map 100% reduce 50%").unwrap_err(),
+            PatternParseError::UnknownTag(_)
+        ));
     }
 
     #[test]

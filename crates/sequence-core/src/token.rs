@@ -55,20 +55,11 @@ pub enum TokenType {
     Hostname,
 }
 
-/// Number of [`TokenType`] variants (used by the matcher's typed-edge table).
-pub(crate) const TOKEN_TYPE_COUNT: usize = 12;
-
 impl TokenType {
     /// `true` for every type other than [`TokenType::Literal`], i.e. token
     /// types that the analyser treats as variables without further evidence.
     pub fn is_typed(self) -> bool {
         self != TokenType::Literal
-    }
-
-    /// A dense index in `0..TOKEN_TYPE_COUNT`, stable within a build; used to
-    /// key fixed-size per-type tables in the matcher.
-    pub(crate) fn index(self) -> usize {
-        self as usize
     }
 
     /// The lower-case name used inside `%...%` placeholders of the textual
@@ -236,16 +227,11 @@ mod tests {
             TokenType::Email,
             TokenType::Hostname,
         ];
-        assert_eq!(all.len(), TOKEN_TYPE_COUNT);
-        let mut seen = [false; TOKEN_TYPE_COUNT];
         for ty in all {
             assert_eq!(
                 TokenType::from_placeholder_name(ty.placeholder_name()),
                 Some(ty)
             );
-            assert!(ty.index() < TOKEN_TYPE_COUNT);
-            assert!(!seen[ty.index()], "duplicate type index");
-            seen[ty.index()] = true;
         }
         assert_eq!(TokenType::from_placeholder_name("nonsense"), None);
     }

@@ -100,9 +100,14 @@ pub fn plan_service(
             if msg.tokens.is_empty() {
                 continue;
             }
-            match set.and_then(|s| s.match_message_with(&msg, scratch)) {
-                Some(outcome) => {
-                    *match_counts.entry(outcome.pattern_id).or_insert(0) += 1;
+            match set.and_then(|s| s.match_id_with(&msg, scratch)) {
+                Some(id) => {
+                    match match_counts.get_mut(id) {
+                        Some(n) => *n += 1,
+                        None => {
+                            match_counts.insert(id.to_string(), 1);
+                        }
+                    }
                     plan.matched_known += 1;
                 }
                 None => unmatched.push(msg),

@@ -224,3 +224,35 @@ fn match_all_matches_linear_reference() {
         Ok(())
     });
 }
+
+/// `match_id_with` (capture-free) names the same pattern as
+/// `match_message_with` and as the linear reference, at every generated
+/// set size — the sizes straddle the linear cutoff, so both the linear
+/// and the trie dispatch arms are pinned.
+#[test]
+fn match_id_matches_full_match() {
+    let scanner = Scanner::new();
+    prop::check(&Config::cases(1200), &MatcherCase, |case| {
+        let (set, _) = build_set(case);
+        let mut scratch = MatchScratch::default();
+        for m in &case.messages {
+            let msg = scanner.scan_parse_only(m);
+            let full = set.match_message_with(&msg, &mut scratch);
+            let linear = set.match_message_linear(&msg);
+            let id = set.match_id_with(&msg, &mut scratch);
+            prop_assert_eq!(
+                id,
+                full.as_ref().map(|o| o.pattern_id.as_str()),
+                "dispatch on {:?}",
+                m
+            );
+            prop_assert_eq!(
+                id,
+                linear.as_ref().map(|o| o.pattern_id.as_str()),
+                "linear reference on {:?}",
+                m
+            );
+        }
+        Ok(())
+    });
+}

@@ -226,3 +226,50 @@ fn served_patterns_match_reference_after_first_mine() {
     handle.initiate_shutdown();
     handle.join().expect("join");
 }
+
+/// A flood on one connection is taken whole: 20× the queue capacity sent
+/// back to back is accepted without a reject, and every record is processed
+/// exactly once. Before the shard queue woke its parked worker ahead of
+/// waiting for space, each full queue slept out the whole enqueue timeout
+/// and the rest of the burst was rejected.
+#[test]
+fn one_connection_flood_is_accepted_whole() {
+    const CAPACITY: usize = 500;
+    const LINES: usize = 20 * CAPACITY;
+    let config = SeqdConfig {
+        shards: 2,
+        queue_capacity: CAPACITY,
+        ..SeqdConfig::default()
+    };
+    let handle = start(PatternStore::in_memory(), config, "127.0.0.1:0").expect("start daemon");
+    let addr = handle.addr();
+    let records: Vec<LogRecord> = (0..LINES)
+        .map(|i| {
+            LogRecord::new(
+                format!("svc-{}", i % 5),
+                format!("request {i} served in {} ms by worker-{}", i % 97, i % 3),
+            )
+        })
+        .collect();
+    let receipt = loadgen::replay_records(addr, &records).expect("flood");
+    assert_eq!(receipt.rejected, 0, "receipt: {receipt:?}");
+    assert_eq!(receipt.accepted, LINES as u64, "receipt: {receipt:?}");
+    loadgen::wait_until_processed(addr, LINES as u64, Duration::from_secs(120))
+        .expect("drain the flood");
+    let stats = loadgen::control_get(addr, "/stats").expect("/stats");
+    let v = jsonlite::parse(&stats).expect("stats json");
+    let field = |k: &str| v.get(k).and_then(|x| x.as_i64()).unwrap();
+    assert_eq!(
+        field("matched") + field("unmatched"),
+        LINES as i64,
+        "{stats}"
+    );
+    assert_eq!(field("counter_drift"), 0, "{stats}");
+    loadgen::control_post(addr, "/shutdown").expect("shutdown");
+    let finals = handle.join().expect("join");
+    assert!(finals.reconciles(), "{finals:?}");
+    assert_eq!(finals.ingested, LINES as u64);
+    assert_eq!(finals.matched + finals.unmatched, LINES as u64);
+    assert_eq!((finals.rejected, finals.dropped), (0, 0), "{finals:?}");
+    assert_eq!(finals.counter_drift(), 0);
+}
